@@ -21,6 +21,7 @@ usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -38,16 +39,13 @@ from .quadform import QuadformError, SymMatrix
 
 TASKS = ("modes", "dynamics", "rotor", "watson-diagnostics")
 
-# Tolerance defaults applied by the pipeline (documented in one place;
-# the per-module constants are the single source of truth).
-TOLERANCES = {
-    "f_symmetry_reject": 1e-9,   # beyond this, [force_constants] is an error
-    "f_symmetry_warn": 1e-12,    # above this, symmetrization warns
-    "symmetrize": 1e-12,
-    "degeneracy_rtol": 1e-8,
-    "rank_rtol": 1e-10,
-    "gimbal": 1e-10,
-}
+# Relative asymmetry of a full-square [force_constants] block: beyond
+# F_SYMMETRY_REJECT it is an error, above F_SYMMETRY_WARN it is symmetrized
+# with a warning.
+F_SYMMETRY_REJECT = 1e-9
+F_SYMMETRY_WARN = 1e-12
+
+log = logging.getLogger(__name__)
 
 _AXES = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
 
@@ -94,6 +92,12 @@ class JobSpec:
                     f"unknown task {t!r}; choose from {', '.join(TASKS)}"
                 )
         self.tasks = tasks
+        if self.frames < 2:
+            raise ValidationError("frames must be at least 2")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValidationError("amplitude must be positive and finite")
+        if self.jmax < 0:
+            raise ValidationError("jmax must be non-negative")
 
 
 # -- input parsing -------------------------------------------------------------
@@ -251,15 +255,12 @@ def _parse_force_constants(lines, n: int):
             f[i] = vals
         asym = float(np.abs(f - f.T).max())
         scale = max(float(np.abs(f).max()), 1e-300)
-        if asym > TOLERANCES["f_symmetry_reject"] * scale:
+        if asym > F_SYMMETRY_REJECT * scale:
             raise ValidationError(
                 f"force-constant matrix asymmetric by {asym:.3e}"
             )
-        if asym > TOLERANCES["f_symmetry_warn"] * scale:
-            print(
-                f"warning: symmetrized force constants (asymmetry {asym:.3e})",
-                file=sys.stderr,
-            )
+        if asym > F_SYMMETRY_WARN * scale:
+            log.warning("symmetrized force constants (asymmetry %.3e)", asym)
         f = 0.5 * (f + f.T)
     else:
         raise ParseError(
@@ -407,13 +408,12 @@ class _Outputs:
                 pass
 
 
-def _solve_modes(parsed: ParsedInput, unit_mode: str):
+def _solve_modes(parsed: ParsedInput, unit_mode: str) -> nm.NormalModeResult:
     b = mo.build_b_matrix(parsed.molecule, parsed.internal_coordinates)
     masses = mo.MassMatrix.from_molecule(parsed.molecule)
     g = mo.build_g_matrix(b, masses)
     mode = "natural" if unit_mode == "natural" else "spectroscopic"
-    result = nm.solve(g, parsed.force_field, b=b, masses=masses, unit_mode=mode)
-    return b, masses, g, result
+    return nm.solve(g, parsed.force_field, b=b, masses=masses, unit_mode=mode)
 
 
 def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec) -> str:
@@ -470,7 +470,7 @@ def run(job: JobSpec) -> int:
             t in job.tasks for t in ("modes", "dynamics", "watson-diagnostics")
         )
         if needs_modes:
-            b, masses, g, result = _solve_modes(parsed, job.unit_mode)
+            result = _solve_modes(parsed, job.unit_mode)
 
         if "modes" in job.tasks:
             ecd = (
@@ -495,7 +495,7 @@ def run(job: JobSpec) -> int:
         if "dynamics" in job.tasks:
             if parsed.initial_conditions is None:
                 raise ValidationError("dynamics task requires a [dynamics] section")
-            metric = SymMatrix(np.linalg.inv(g.entries))
+            metric = result.g_inv
             times = np.linspace(
                 0.0,
                 parsed.dynamics_options["t_end"],

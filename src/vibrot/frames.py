@@ -56,11 +56,6 @@ class EulerAngles:
         object.__setattr__(self, "chi", chi % two_pi)
 
 
-def rotation_x(alpha: float) -> np.ndarray:
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def rotation_y(alpha: float) -> np.ndarray:
     c, s = math.cos(alpha), math.sin(alpha)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])

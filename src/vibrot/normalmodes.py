@@ -1,8 +1,17 @@
 """GF-problem solver: eigenvalues, L and l matrices, Cartesian mode shapes.
 
 The vibrational secular problem is solved as a simultaneous diagonalization
-of the kinetic metric G^-1 and the force-constant form F (never by
-eigendecomposing the unsymmetric product GF).
+of the kinetic metric G^-1 and the force-constant form F, through the
+symmetric operator W = G^{1/2} F G^{1/2} (never by eigendecomposing the
+unsymmetric product GF).
+
+Each solve factors the kinetic metric once.  Given B and the masses, that
+is the SVD of the mass-weighted B matrix, B M^{-1/2} = U S V^T, so that
+G = U S^2 U^T; given G alone, it is eigh(G) = U S^2 U^T.  From U and S come
+G^{1/2}, the positive-definiteness test and G^-1 (carried as `g_inv`, the
+kinetic metric the dynamics use).  With eta the eigenvectors of W,
+L = G^{1/2} eta and l = V U^T eta, so l is orthonormal by construction
+however badly G is conditioned.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 
 from . import constants, quadform
 from .molecule import BMatrix, MassMatrix, Molecule
-from .quadform import DimensionMismatch, NotPositiveDefinite, SymMatrix
+from .quadform import DimensionMismatch, SymMatrix
 
 LAMBDA_CLAMP = 1e-10
 IMAGINARY_REPORT = 1e-6
@@ -53,15 +62,18 @@ class ForceField:
 class NormalModeResult:
     """Eigenvalues and transformations of one harmonic solve.
 
-    lambdas ascend; S = L Q with L^T G^-1 L = 1; l maps mass-weighted
-    Cartesian displacements to normal coordinates and is orthogonal.
+    lambdas ascend; S = L Q with L^T G^-1 L = 1; g_inv is G^-1 from the
+    solve's own factorization.  l maps mass-weighted Cartesian displacements
+    to normal coordinates and is orthogonal; column s of cart_displacements
+    is the Cartesian image of Q_s, and B applied to it gives column s of L.
     l and cart_displacements are only present when the solve was given the
-    B matrix and masses needed for the Cartesian back-transformation.
+    B matrix and masses.
     """
 
     lambdas: np.ndarray
     frequencies_cm: np.ndarray
     L: np.ndarray
+    g_inv: SymMatrix
     l: Optional[np.ndarray] = None
     cart_displacements: Optional[np.ndarray] = None
 
@@ -99,56 +111,38 @@ def solve(
 ) -> NormalModeResult:
     """Solve the vibrational problem for kinetic matrix G and force field F.
 
-    Passing the B matrix and masses additionally fills the l matrix and the
+    Passing the B matrix and masses (with G = B M^-1 B^T) solves through
+    the SVD of B M^{-1/2} and additionally fills the l matrix and the
     per-mode Cartesian displacement vectors.
     """
     if g.dim != f.dim:
         raise DimensionMismatch(f"G is {g.dim}-dim but F is {f.dim}-dim")
-    if not quadform.is_positive_definite(g):
-        raise NotPositiveDefinite("G matrix is not positive definite")
-    g_inv = quadform.matrix_power(g, -1.0)
-    pair = quadform.simultaneous_diagonalize(g_inv, f.f)
-    result = NormalModeResult(
+    cartesian = b is not None and masses is not None
+    if cartesian:
+        if b.count != g.dim:
+            raise DimensionMismatch(f"B has {b.count} rows but G is {g.dim}-dim")
+        if b.ncart != masses.diagonal.size:
+            raise DimensionMismatch("B columns and mass diagonal disagree")
+        inv_sqrt_m = 1.0 / np.sqrt(masses.diagonal)
+        u, s, vt = np.linalg.svd(b.rows * inv_sqrt_m, full_matrices=False)
+        s2 = s * s
+    else:
+        s2, u = np.linalg.eigh(g.entries)
+    quadform.require_positive_definite(s2, g, "G matrix")
+    g_half = (u * np.sqrt(s2)) @ u.T
+    pair, eta = quadform.canonical_eigenbasis(g_half @ f.f.entries @ g_half, g_half)
+    l = cart = None
+    if cartesian:
+        l = vt.T @ (u.T @ eta)
+        cart = l * inv_sqrt_m[:, None]
+    return NormalModeResult(
         lambdas=pair.lambdas,
         frequencies_cm=frequencies_cm(pair.lambdas, unit_mode),
         L=pair.beta,
+        g_inv=SymMatrix((u / s2) @ u.T),
+        l=l,
+        cart_displacements=cart,
     )
-    if b is not None and masses is not None:
-        l = _l_matrix(result.L, g_inv, b, masses)
-        cart = l / np.sqrt(masses.diagonal)[:, None]
-        return NormalModeResult(
-            lambdas=result.lambdas,
-            frequencies_cm=result.frequencies_cm,
-            L=result.L,
-            l=l,
-            cart_displacements=cart,
-        )
-    return result
-
-
-def _l_matrix(L, g_inv, b: BMatrix, masses: MassMatrix) -> np.ndarray:
-    # l = M^{-1/2} B^T G^{-1} L; orthogonality follows from L^T G^-1 L = 1.
-    return (b.rows.T @ g_inv.entries @ L) / np.sqrt(masses.diagonal)[:, None]
-
-
-def cartesian_displacements(
-    res: NormalModeResult, b: BMatrix, masses: MassMatrix
-) -> np.ndarray:
-    """Per-mode Cartesian displacement vectors (ncart x nmodes).
-
-    Column s is the Cartesian image of the unit normal-coordinate basis
-    vector Q_s; applying B to it recovers column s of L.
-    """
-    if b.count != res.nmodes:
-        raise DimensionMismatch(
-            f"B has {b.count} rows but result carries {res.nmodes} modes"
-        )
-    if b.ncart != masses.diagonal.size:
-        raise DimensionMismatch("B columns and mass diagonal disagree")
-    g = SymMatrix((b.rows / masses.diagonal) @ b.rows.T)
-    g_inv = quadform.matrix_power(g, -1.0)
-    l = _l_matrix(res.L, g_inv, b, masses)
-    return l / np.sqrt(masses.diagonal)[:, None]
 
 
 def mode_animation(

@@ -187,16 +187,38 @@ def _group_degenerate(lambdas: np.ndarray) -> list:
     return groups
 
 
-def _fix_column_signs(beta: np.ndarray) -> np.ndarray:
-    """First significant entry of every column made positive."""
-    beta = beta.copy()
-    for j in range(beta.shape[1]):
-        col = beta[:, j]
-        idx = np.nonzero(np.abs(col) > SIGN_TOL * max(np.abs(col).max(), 1e-300))[0]
-        lead = idx[0] if idx.size else 0
-        if col[lead] < 0:
-            beta[:, j] = -col
-    return beta
+def require_positive_definite(eigenvalues, a: SymMatrix, what: str) -> None:
+    """Raise NotPositiveDefinite unless every eigenvalue of `a` exceeds
+    1e-12 * max(1, max |a_ij|), the margin `is_positive_definite` applies."""
+    scale = max(1.0, np.abs(a.entries).max())
+    if np.min(eigenvalues) <= SYMMETRIZE_TOL * scale:
+        raise NotPositiveDefinite(f"{what} is not positive definite")
+
+
+def canonical_eigenbasis(w: np.ndarray, t: np.ndarray):
+    """Eigenpairs (pair, eta) of the symmetric operator w, with pair.beta = t eta.
+
+    Column conventions are read off beta: inside a degenerate group the
+    columns are ordered by the position of their first significant entry,
+    and each column's sign makes that entry positive.  eta gets the same
+    order and signs, so it stays orthonormal.
+    """
+    lambdas, eta = np.linalg.eigh(w)
+    beta = t @ eta
+    groups = _group_degenerate(lambdas)
+    order = np.arange(lambdas.size)
+    for grp in groups:
+        if len(grp) > 1:
+            cols = np.abs(beta[:, grp])
+            first = np.argmax(cols > 1e-8 * max(cols.max(), 1e-300), axis=0)
+            order[grp] = np.asarray(grp)[np.argsort(first, kind="stable")]
+    eta, beta = eta[:, order], beta[:, order]
+    mag = np.abs(beta)
+    lead = np.argmax(mag > SIGN_TOL * np.maximum(mag.max(axis=0), 1e-300), axis=0)
+    signs = np.where(beta[lead, np.arange(beta.shape[1])] < 0, -1.0, 1.0)
+    mult = np.array([len(grp) for grp in groups], dtype=int)
+    pair = PairDiagonalization(beta=beta * signs, lambdas=lambdas, multiplicities=mult)
+    return pair, eta * signs
 
 
 def simultaneous_diagonalize(g: SymMatrix, gtilde: SymMatrix) -> PairDiagonalization:
@@ -204,32 +226,14 @@ def simultaneous_diagonalize(g: SymMatrix, gtilde: SymMatrix) -> PairDiagonaliza
 
     g must be positive definite.  The solve goes through the symmetric
     operator W = g^{-1/2} gtilde g^{-1/2} rather than the (generally
-    unsymmetric, possibly defective) product g^-1 gtilde.  Returned beta
+    unsymmetric, possibly defective) product g^-1 gtilde; one eigh of g
+    supplies both the definiteness test and g^{-1/2}.  Returned beta
     satisfies beta^T g beta = 1 and beta^T gtilde beta = diag(lambdas).
     """
     if g.dim != gtilde.dim:
         raise DimensionMismatch(f"dims differ: {g.dim} vs {gtilde.dim}")
-    if not is_positive_definite(g):
-        raise NotPositiveDefinite("metric g is not positive definite")
-
-    g_inv_half = matrix_power(g, -0.5)
-    w = SymMatrix(g_inv_half.entries @ gtilde.entries @ g_inv_half.entries)
-    lambdas, eta = np.linalg.eigh(w.entries)
-    beta = g_inv_half.entries @ eta
-
-    groups = _group_degenerate(lambdas)
-    for grp in groups:
-        if len(grp) == 1:
-            continue
-        # Deterministic order inside a degenerate subspace: by the position
-        # of the first significant component, then re-orthonormalize in g.
-        cols = [beta[:, i] for i in grp]
-        scale = max(np.abs(np.column_stack(cols)).max(), 1e-300)
-        cols.sort(key=lambda c: int(np.argmax(np.abs(c) > 1e-8 * scale)))
-        cols = gram_schmidt_metric(cols, g)
-        for i, c in zip(grp, cols):
-            beta[:, i] = c
-
-    beta = _fix_column_signs(beta)
-    mult = np.array([len(grp) for grp in groups], dtype=int)
-    return PairDiagonalization(beta=beta, lambdas=lambdas, multiplicities=mult)
+    vals, vecs = np.linalg.eigh(g.entries)
+    require_positive_definite(vals, g, "metric g")
+    g_inv_half = (vecs / np.sqrt(vals)) @ vecs.T
+    pair, _ = canonical_eigenbasis(g_inv_half @ gtilde.entries @ g_inv_half, g_inv_half)
+    return pair

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 
@@ -55,10 +56,14 @@ class TestParseInput:
         with pytest.raises(ValidationError):
             parse_input(path)
 
-    def test_tiny_asymmetry_accepted_and_symmetrized(self, tmp_path):
-        path = write_input(
-            tmp_path,
-            """
+    def test_tiny_asymmetry_accepted_and_symmetrized(self, tmp_path, caplog):
+        # 1e-12 of the largest entry is below the warning margin; 1e-11 is
+        # symmetrized with one logged warning.
+        for off_diagonal, warnings in (("-0.9999999999990", 0), ("-0.99999999998", 1)):
+            caplog.clear()
+            path = write_input(
+                tmp_path,
+                f"""
 [atoms]
 A 1.0 0.0 0.0 0.0
 B 1.0 1.1 0.0 0.0
@@ -69,12 +74,16 @@ cart 2 x
 
 [force_constants]
 2.0 -1.0
--0.9999999999990 2.0
+{off_diagonal} 2.0
 """,
-        )
-        parsed = parse_input(path)
-        f = parsed.force_field.f.entries
-        assert f[0, 1] == f[1, 0]
+            )
+            with caplog.at_level(logging.WARNING, logger="vibrot.cli"):
+                parsed = parse_input(path)
+            f = parsed.force_field.f.entries
+            assert f[0, 1] == f[1, 0]
+            assert [r.levelno for r in caplog.records] == [logging.WARNING] * warnings
+            for record in caplog.records:
+                assert "symmetrized force constants" in record.getMessage()
 
     def test_large_asymmetry_rejected(self, tmp_path):
         path = write_input(
@@ -286,6 +295,33 @@ beta = 0.0 0.0
             report["modes"]["frequencies"], res.frequencies_cm
         ):
             assert printed == float(f"{in_memory:.12e}")
+
+    def test_ill_conditioned_g_keeps_l_orthonormal(self, tmp_path):
+        # cond(G) = 1.3e9: l from an explicit G^-1 drifted off orthonormal by
+        # 9e-8, and the Watson layer rejected the run with exit 3.
+        path = FIXTURES / "illcond8.inp"
+        code = cli.main(
+            ["analyze", str(path), "--tasks", "modes,watson-diagnostics",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        res = cli._solve_modes(parse_input(path), "cm")
+        assert np.abs(res.l.T @ res.l - np.eye(res.nmodes)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--frames", "1"), ("--frames", "0"), ("--amplitude", "0"),
+         ("--amplitude", "-0.1"), ("--amplitude", "nan"), ("--amplitude", "inf"),
+         ("--jmax", "-1")],
+    )
+    def test_job_options_out_of_range_exit_2(self, tmp_path, capsys, flag, value):
+        code = cli.main(
+            ["analyze", str(FIXTURES / "water.inp"), "--tasks", "modes,rotor",
+             "--out", str(tmp_path), flag, value]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
     def test_main_end_to_end(self, tmp_path):
         code = cli.main(

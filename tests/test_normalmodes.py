@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import random_spd, two_mass_system, water_molecule
+from conftest import random_spd, two_mass_system, water_molecule, water_pipeline
 from vibrot import molecule as mo
 from vibrot import normalmodes as nm
+from vibrot.frames import EulerAngles, rotation_zyz
 from vibrot.quadform import DimensionMismatch, NotPositiveDefinite, SymMatrix
 
 
@@ -64,9 +68,13 @@ class TestSolve:
                 nm.ForceField(f=SymMatrix.identity(2)),
             )
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, water):
         with pytest.raises(DimensionMismatch):
             nm.solve(SymMatrix.identity(2), nm.ForceField(f=SymMatrix.identity(3)))
+        _, b, masses, _, _ = water
+        with pytest.raises(DimensionMismatch):
+            nm.solve(SymMatrix.identity(2), nm.ForceField(f=SymMatrix.identity(2)),
+                     b=b, masses=masses)
 
     def test_isotope_scaling_property(self, rng):
         g = random_spd(rng, 5)
@@ -90,17 +98,26 @@ class TestSolve:
         h_internal = 0.5 * sdot @ g_inv @ sdot + 0.5 * s @ ff.f.entries @ s
         assert h_normal == pytest.approx(h_internal, rel=1e-9)
 
-    def test_spectrum_invariant_under_coordinate_redefinition(self, rng):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(float, (4, 4), elements=st.floats(-1.0, 1.0)),
+        arrays(float, (4, 4), elements=st.floats(-2.0, 2.0)),
+        arrays(float, (4, 4), elements=st.floats(-0.5, 0.5)),
+    )
+    def test_spectrum_invariant_under_coordinate_redefinition(self, c, f, a):
+        # S' = A S with A strictly diagonally dominant, hence invertible;
+        # then G' = A G A^T and F' = A^-T F A^-1.
         n = 4
-        g = random_spd(rng, n)
-        f = random_spd(rng, n)
-        c = rng.normal(size=(n, n)) + 3 * np.eye(n)
-        g2 = SymMatrix(c @ g.entries @ c.T)
-        c_inv = np.linalg.inv(c)
-        f2 = SymMatrix(c_inv.T @ f.entries @ c_inv)
-        res1 = nm.solve(g, nm.ForceField(f=f), unit_mode="natural")
+        g = SymMatrix(c @ c.T + 0.5 * np.eye(n))
+        ff = SymMatrix(f)
+        a = a + 3.0 * np.eye(n)
+        a_inv = np.linalg.inv(a)
+        g2 = SymMatrix(a @ g.entries @ a.T)
+        f2 = SymMatrix(a_inv.T @ ff.entries @ a_inv)
+        res1 = nm.solve(g, nm.ForceField(f=ff), unit_mode="natural")
         res2 = nm.solve(g2, nm.ForceField(f=f2), unit_mode="natural")
-        np.testing.assert_allclose(res2.lambdas, res1.lambdas, rtol=1e-8)
+        scale = max(1.0, np.abs(res1.lambdas).max())
+        np.testing.assert_allclose(res2.lambdas, res1.lambdas, atol=1e-9 * scale)
 
     def test_saddle_point_reports_negative_wavenumber(self):
         g = SymMatrix.identity(2)
@@ -142,8 +159,7 @@ class TestCartesianDisplacements:
 
     def test_b_image_recovers_l_columns(self, water):
         mol, b, masses, g, res = water
-        disp = nm.cartesian_displacements(res, b, masses)
-        np.testing.assert_allclose(b.rows @ disp, res.L, atol=1e-9)
+        np.testing.assert_allclose(b.rows @ res.cart_displacements, res.L, atol=1e-9)
 
     def test_modes_carry_no_linear_momentum(self, water):
         mol, b, masses, g, res = water
@@ -154,6 +170,63 @@ class TestCartesianDisplacements:
     def test_l_columns_orthonormal(self, water):
         _, _, _, _, res = water
         assert np.abs(res.l.T @ res.l - np.eye(res.nmodes)).max() < 1e-9
+
+
+def _zigzag_chain(natoms, jitter, masses):
+    """Planar zigzag chain (1 A bonds, ~109 deg bends) with displaced atoms."""
+    base = np.array(
+        [[i * 0.816, 0.577 * (i % 2), 0.0] for i in range(natoms)]
+    )
+    mol = mo.Molecule.from_lists(
+        [f"X{i}" for i in range(natoms)], list(masses), base + jitter
+    )
+    coords = [mo.BondStretch(i, i + 1) for i in range(natoms - 1)]
+    coords += [mo.AngleBend(i, i + 1, i + 2) for i in range(natoms - 2)]
+    return mol, mo.InternalCoordinateSet(tuple(coords))
+
+
+class TestSolveProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arrays(float, 3, elements=st.floats(-math.pi, math.pi)),
+        arrays(float, 3, elements=st.floats(-10.0, 10.0)),
+    )
+    def test_frequencies_invariant_under_rigid_motion(self, angles, shift):
+        mol, b, masses, g, ref = water_pipeline()
+        rotation = rotation_zyz(EulerAngles(*angles))
+        moved = mo.Molecule.from_lists(
+            [a.label for a in mol.atoms],
+            list(mol.masses),
+            mol.positions @ rotation.T + shift,
+        )
+        ics = mo.InternalCoordinateSet(
+            (mo.BondStretch(0, 1), mo.BondStretch(0, 2), mo.AngleBend(1, 0, 2))
+        )
+        b2 = mo.build_b_matrix(moved, ics)
+        m2 = mo.MassMatrix.from_molecule(moved)
+        f = nm.ForceField(
+            f=SymMatrix([[8.45, -0.10, 0.25], [-0.10, 8.45, 0.25], [0.25, 0.25, 0.70]])
+        )
+        res = nm.solve(mo.build_g_matrix(b2, m2), f, b=b2, masses=m2)
+        np.testing.assert_allclose(res.frequencies_cm, ref.frequencies_cm, rtol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 7).flatmap(lambda n: st.tuples(
+        arrays(float, (n, 3), elements=st.floats(-0.15, 0.15)),
+        arrays(float, n, elements=st.floats(1.0, 40.0)),
+        arrays(float, (2 * n - 3, 2 * n - 3), elements=st.floats(-5.0, 5.0)),
+    )))
+    def test_l_orthonormal_and_b_image_is_L(self, case):
+        jitter, mass_values, f = case
+        mol, ics = _zigzag_chain(len(mass_values), jitter, mass_values)
+        b = mo.build_b_matrix(mol, ics)
+        masses = mo.MassMatrix.from_molecule(mol)
+        g = mo.build_g_matrix(b, masses)
+        res = nm.solve(g, nm.ForceField(f=SymMatrix(f)), b=b, masses=masses)
+        n = res.nmodes
+        assert np.abs(res.l.T @ res.l - np.eye(n)).max() < 1e-12
+        scale = np.abs(res.L).max()
+        assert np.abs(b.rows @ res.cart_displacements - res.L).max() < 1e-12 * scale
 
 
 class TestFrequencies:
@@ -202,13 +275,14 @@ class TestModeAnimation:
         mol = mo.Molecule.from_lists(
             ["m1", "m2"], [1.0, 1.0], [[0.0, 0, 0], [1.0, 0, 0]], dimensionality=1
         )
-        res = solve_two_mass()
         ics = mo.InternalCoordinateSet(
             (mo.CartesianDisplacement(0, 0), mo.CartesianDisplacement(1, 0))
         )
         b = mo.build_b_matrix(mol, ics)
         masses = mo.MassMatrix.from_molecule(mol)
-        disp = nm.cartesian_displacements(res, b, masses)
+        g, ff = two_mass_system()
+        res = nm.solve(g, ff, b=b, masses=masses, unit_mode="natural")
+        disp = res.cart_displacements
         frames = nm.mode_animation(mol, disp[:, 1], amplitude=0.2, frames=8)
         for t, g in enumerate(frames):
             d1 = g[0, 0] - mol.positions[0, 0]
