@@ -10,7 +10,10 @@ The input is a single keyed text file with bracketed sections:
     [force_constants]       dense lower-triangle rows, or full square rows
     [rotor]                 a = .., b = .., c = ..    (cm^-1, optional)
     [dynamics]              kappa = .., beta = ..     (optional)
-                            t_end = 10.0, samples = 201
+                            t_end = 10.0 (> 0), samples = 201 (integer > 0)
+
+Every number must be finite; nan, inf and overflowing literals are parse
+errors.
 
 Outputs: report.json (always), modes.xyz, levels.txt, trajectory.csv as
 requested by the task list.  report.json is byte-deterministic: fixed field
@@ -154,10 +157,20 @@ def _floats(lineno: int, text: str):
     vals = []
     for tok in text.split():
         try:
-            vals.append(float(tok))
+            val = float(tok)
         except ValueError:
             raise ParseError(lineno, f"not a number: {tok!r}") from None
+        if not math.isfinite(val):
+            raise ParseError(lineno, f"not a finite number: {tok!r}")
+        vals.append(val)
     return vals
+
+
+def _scalar(lineno: int, text: str) -> float:
+    vals = _floats(lineno, text)
+    if len(vals) != 1:
+        raise ParseError(lineno, f"expected one number, got {text!r}")
+    return vals[0]
 
 
 def _parse_atoms(lines):
@@ -310,7 +323,7 @@ def parse_input(path) -> ParsedInput:
             if key not in keyed:
                 raise ValidationError(f"[rotor] section needs {key} =")
             lineno, value = keyed[key]
-            consts[key] = _floats(lineno, value)[0]
+            consts[key] = _scalar(lineno, value)
         try:
             rotor_spec = ro.classify(consts["a"], consts["b"], consts["c"])
         except ro.RotorError as exc:
@@ -331,9 +344,18 @@ def parse_input(path) -> ParsedInput:
             )
         initial = dyn.InitialConditions(kappa=np.array(kappa), beta_vel=np.array(beta))
         if "t_end" in keyed:
-            dyn_options["t_end"] = _floats(*keyed["t_end"])[0]
+            lineno, value = keyed["t_end"]
+            dyn_options["t_end"] = _scalar(lineno, value)
+            if dyn_options["t_end"] <= 0:
+                raise ValidationError(f"line {lineno}: t_end must be positive")
         if "samples" in keyed:
-            dyn_options["samples"] = int(_floats(*keyed["samples"])[0])
+            lineno, value = keyed["samples"]
+            try:
+                dyn_options["samples"] = int(value)
+            except ValueError:
+                raise ParseError(lineno, f"samples must be an integer: {value!r}") from None
+            if dyn_options["samples"] < 1:
+                raise ValidationError(f"line {lineno}: samples must be positive")
     return ParsedInput(molecule, ics, force_field, rotor_spec, initial, dyn_options)
 
 
@@ -368,6 +390,10 @@ def emit_json(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        if all(isinstance(v, float) and math.isfinite(v) for v in seq):
+            # flat list of finite floats: the same bytes as the element path below
+            template = ",\n".join([inner + "%.12e"] * len(seq))
+            return "[\n" + template % tuple(seq) + "\n" + pad + "]"
         items = [f"{inner}{emit_json(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
@@ -417,19 +443,19 @@ def _solve_modes(parsed: ParsedInput, unit_mode: str) -> nm.NormalModeResult:
 
 
 def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec) -> str:
+    atom_lines = "".join(
+        atom.label.replace("%", "%%") + " %.10f %.10f %.10f\n"
+        for atom in molecule.atoms
+    )
     chunks = []
     for i in range(result.nmodes):
         mode_vec = result.cart_displacements[:, i]
         geoms = nm.mode_animation(molecule, mode_vec, job.amplitude, job.frames)
         freq = result.frequencies_cm[i]
-        for t, geom in enumerate(geoms):
-            chunks.append(f"{molecule.natoms}")
-            chunks.append(f"mode={i} freq={freq:.6f} frame={t}")
-            for atom, xyz in zip(molecule.atoms, geom):
-                chunks.append(
-                    f"{atom.label} {xyz[0]:.10f} {xyz[1]:.10f} {xyz[2]:.10f}"
-                )
-    return "\n".join(chunks) + "\n"
+        for t, coords in enumerate(geoms.reshape(len(geoms), -1).tolist()):
+            chunks.append(f"{molecule.natoms}\nmode={i} freq={freq:.6f} frame={t}\n")
+            chunks.append(atom_lines % tuple(coords))
+    return "".join(chunks)
 
 
 def _levels_text(spec: ro.RotorSpec, levels) -> str:
@@ -528,7 +554,7 @@ def run(job: JobSpec) -> int:
                 )
             cd = wa.coriolis_data(parsed.molecule, result.l)
             sr = wa.sum_rule_residuals(cd, parsed.molecule, result.l)
-            ie = wa.inertia_expansion(parsed.molecule, result.l)
+            ie = wa.inertia_expansion(parsed.molecule, result.l, cd.a_coeff)
             unit = "natural" if job.unit_mode == "natural" else "cm"
             nvib = cd.n_modes
             report["watson"] = {

@@ -27,7 +27,6 @@ from .molecule import BMatrix, MassMatrix, Molecule
 from .quadform import DimensionMismatch, SymMatrix
 
 LAMBDA_CLAMP = 1e-10
-IMAGINARY_REPORT = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +85,9 @@ def frequencies_cm(lambdas, unit_mode: str = "spectroscopic") -> np.ndarray:
     """Harmonic frequencies from eigenvalues of the GF problem.
 
     natural: sqrt(lambda) as-is.  spectroscopic: wavenumbers for lambdas in
-    aJ Angstrom^-2 amu^-1.  Eigenvalues below -1e-6 mark a saddle point and
-    come back with the negative-wavenumber convention; tiny negatives are
-    numerical noise and clamp to zero.
+    aJ Angstrom^-2 amu^-1.  Eigenvalues with |lambda| < LAMBDA_CLAMP are
+    numerical noise and clamp to zero; any more negative eigenvalue marks a
+    saddle point and comes back as a negative wavenumber.
     """
     lam = np.array(lambdas, dtype=float)
     lam[np.abs(lam) < LAMBDA_CLAMP] = 0.0
@@ -147,11 +146,12 @@ def solve(
 
 def mode_animation(
     mol: Molecule, mode: np.ndarray, amplitude: float, frames: int
-) -> list:
+) -> np.ndarray:
     """Geometries sampling one period of a mode at the given amplitude.
 
-    Frame t displaces the equilibrium geometry by
-    amplitude * sin(2 pi t / frames) * mode; frame 0 is the equilibrium.
+    Returns a (frames, natoms, 3) array.  Frame t displaces the equilibrium
+    geometry by amplitude * sin(2 pi t / frames) * mode; frame 0 is the
+    equilibrium.
     """
     if frames < 2:
         raise ValueError("at least 2 frames required")
@@ -164,10 +164,9 @@ def mode_animation(
         )
     d = mol.dimensionality
     shaped = mode.reshape(mol.natoms, d)
-    eq = mol.positions
-    out = []
-    for t in range(frames):
-        geom = eq.copy()
-        geom[:, :d] += amplitude * math.sin(2.0 * math.pi * t / frames) * shaped
-        out.append(geom)
+    factors = np.array(
+        [amplitude * math.sin(2.0 * math.pi * t / frames) for t in range(frames)]
+    )
+    out = np.repeat(mol.positions[None], frames, axis=0)
+    out[:, :, :d] += factors[:, None, None] * shaped
     return out

@@ -42,6 +42,10 @@ class NotSymmetricTop(RotorError):
     """A symmetric-top closed form was requested for an asymmetric rotor."""
 
 
+class NonFiniteLevels(RotorError):
+    """The rotor Hamiltonian or its levels overflow the float range."""
+
+
 @dataclass(frozen=True)
 class RotorSpec:
     """Ordered rotational constants and the rotor classification."""
@@ -393,14 +397,21 @@ def asymmetric_levels(spec: RotorSpec, j_max: int) -> list:
 
     Within one J the block eigenvalues are merged in ascending order;
     labels keep the parity class and the level's index inside its block.
+    Raises NonFiniteLevels when a Hamiltonian or a level is not finite.
     """
     if j_max < 0:
         raise InvalidQuantumNumbers(f"j_max = {j_max} < 0")
     levels = []
     for j in range(j_max + 1):
-        h = asymmetric_hamiltonian(spec, j)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            h = asymmetric_hamiltonian(spec, j)
+        # H couples k only to k and k +- 2, so two diagonals hold all of it
+        if not (np.isfinite(h.diagonal()).all() and np.isfinite(h.diagonal(2)).all()):
+            raise NonFiniteLevels(f"rotor Hamiltonian for J = {j} is not finite")
         entries = []
         for block in wang_blocks(h, j):
+            if not np.isfinite(block.eigenvalues).all():
+                raise NonFiniteLevels(f"rotor levels for J = {j} are not finite")
             for idx, e in enumerate(block.eigenvalues):
                 entries.append((float(e), block.parity_class, idx))
         entries.sort(key=lambda t: (t[0], t[1], t[2]))

@@ -5,9 +5,16 @@ Cartesian mode vectors l (shape 3N x n_vib, orthonormal columns): zeta
 constants, inertia-derivative coefficients, the Watson sum rules, the
 I0 / I'' / I' / mu tensor family and the U pseudo-potential.
 
+The zeta constants are accumulated atom by atom: for each axis the
+antisymmetric per-atom term l_p l_q^T - l_q l_p^T (one cross-product
+component for every mode pair at once) is added in atom order, starting
+from +0.0.  That is how numpy sums per-pair cross products over atoms, so
+the result is bit-identical to such a loop, signed zeros included.  The
+matrix-product form X_p^T X_q - X_q^T X_p is not used: BLAS reorders its
+sums, which changes the last printed digits of the report.  The other
 Levi-Civita contractions run over three axes only and are written as
-direct loops; the matching test oracles use an independent
-permutation-sum implementation.
+direct loops.  The matching test oracles use an independent permutation-sum
+implementation.
 """
 
 from __future__ import annotations
@@ -157,12 +164,23 @@ def coriolis_constants(l: np.ndarray) -> CoriolisData:
     natoms = l.shape[0] // 3
     n = l.shape[1]
     shaped = l.reshape(natoms, 3, n)
+    upper = np.triu_indices(n, 1)
     zeta = np.zeros((3, n, n))
-    for k in range(n):
-        for m in range(k + 1, n):
-            c = np.cross(shaped[:, :, k], shaped[:, :, m]).sum(axis=0)
-            zeta[:, k, m] = c
-            zeta[:, m, k] = -c
+    acc = np.empty((n, n))
+    prod = np.empty((n, n))
+    term = np.empty((n, n))
+    for alpha, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+        # acc[k, m] = sum_i l_ipk l_iqm - l_iqk l_ipm, in atom order from
+        # +0.0 as numpy's add.reduce starts, so a sum of -0.0 terms is +0.0
+        acc.fill(0.0)
+        for i in range(natoms):
+            np.multiply.outer(shaped[i, p], shaped[i, q], out=prod)
+            np.subtract(prod, prod.T, out=term)
+            acc += term
+        # the lower triangle is the exact negation, signed zeros included
+        vals = acc[upper]
+        zeta[alpha][upper] = vals
+        zeta[alpha].T[upper] = -vals
     return CoriolisData(zeta=zeta)
 
 
@@ -201,11 +219,19 @@ def coriolis_data(mol: Molecule, l: np.ndarray) -> CoriolisData:
     return CoriolisData(zeta=zeta, a_coeff=interaction_coefficients(mol, l))
 
 
-def inertia_expansion(mol: Molecule, l: np.ndarray) -> InertiaExpansion:
-    """I0 about the COM plus the linear inertia derivatives for the modes."""
+def inertia_expansion(
+    mol: Molecule, l: np.ndarray, a_coeff: Optional[np.ndarray] = None
+) -> InertiaExpansion:
+    """I0 about the COM plus the linear inertia derivatives for the modes.
+
+    a_coeff, when given, is interaction_coefficients(mol, l) computed
+    already (for example CoriolisData.a_coeff) and is used as it is.
+    """
     shifted = center_of_mass_shift(mol)
     i0 = _inertia_tensor(shifted.masses, shifted.positions)
-    return InertiaExpansion(i0=i0, a_coeff=interaction_coefficients(mol, l))
+    if a_coeff is None:
+        a_coeff = interaction_coefficients(mol, l)
+    return InertiaExpansion(i0=i0, a_coeff=a_coeff)
 
 
 def watson_u(ie: InertiaExpansion, q, unit_mode: str = "cm") -> float:

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import FIXTURES
 from vibrot import cli
 from vibrot import molecule as mo
+from vibrot import watson as wa
 from vibrot.cli import JobSpec, ParseError, ValidationError, parse_input, run
 
 
@@ -116,6 +118,38 @@ cart 2 x
         with pytest.raises(ParseError) as err:
             parse_input(path)
         assert "one.one" in str(err.value)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize(
+        "section,old",
+        [("mass", "A 1.0"), ("coordinate", "1.1"), ("force constant", "\n1.0\n")],
+    )
+    def test_non_finite_number_rejected_with_line(self, tmp_path, section, old, token):
+        new = old.replace("1.0", token) if section != "coordinate" else token
+        path = write_input(tmp_path, MINIMAL.replace(old, new))
+        with pytest.raises(ParseError) as err:
+            parse_input(path)
+        lineno = {"mass": 3, "coordinate": 4, "force constant": 10}[section]
+        assert err.value.line == lineno
+        assert "not a finite number" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "section,bad",
+        [("[rotor]\na = nan\nb = 2.0\nc = 1.0\n", 13),
+         ("[rotor]\na = 3.0\nb = inf\nc = 1.0\n", 14),
+         ("[rotor]\na = 3.0 4.0\nb = 2.0\nc = 1.0\n", 13),
+         ("[rotor]\na = 3.0\nb =\nc = 1.0\n", 14),
+         ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nt_end =\n", 15),
+         ("[dynamics]\nkappa = nan\nbeta = 0.0\n", 13),
+         ("[dynamics]\nkappa = 0.1\nbeta = -inf\n", 14),
+         ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nt_end = inf\n", 15),
+         ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nsamples = 2.7\n", 15)],
+    )
+    def test_bad_rotor_and_dynamics_numbers_rejected(self, tmp_path, section, bad):
+        path = write_input(tmp_path, MINIMAL + "\n" + section)
+        with pytest.raises(ParseError) as err:
+            parse_input(path)
+        assert err.value.line == bad
 
     def test_unknown_coordinate_kind(self, tmp_path):
         path = write_input(
@@ -261,6 +295,66 @@ beta = 0.0 0.0
         assert not (out / "modes.xyz").exists()
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit,code,message",
+        [(("[force_constants]\n8.45", "[force_constants]\nnan"), 2,
+          "line 13: not a finite number"),
+         (("O 15.999 0.0 ", "O 15.999 nan "), 2, "line 3: not a finite number"),
+         (("", "\n[rotor]\na = 1e308\nb = 5e307\nc = 1e307\n"), 3,
+          "rotor Hamiltonian for J = 1 is not finite")],
+        ids=["nan-force-constant", "nan-coordinate", "overflowing-rotor"],
+    )
+    def test_non_finite_input_or_levels_exit_with_no_outputs(
+        self, tmp_path, capsys, edit, code, message
+    ):
+        text = (FIXTURES / "water.inp").read_text()
+        old, new = edit
+        assert old in text
+        path = write_input(tmp_path, text.replace(old, new, 1) if old else text + new)
+        out = tmp_path / "out"
+        assert cli.main(
+            ["analyze", str(path), "--tasks", "modes,rotor", "--out", str(out),
+             "--jmax", "2"]
+        ) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [("samples = 0", "samples must be positive"),
+         ("samples = 2.7", "samples must be an integer"),
+         ("samples = 5 6", "samples must be an integer"),
+         ("t_end = -3", "t_end must be positive"),
+         ("t_end = 0", "t_end must be positive")],
+    )
+    def test_dynamics_options_validated(self, tmp_path, capsys, option, message):
+        text = (FIXTURES / "twomass.inp").read_text()
+        key = option.split()[0]
+        lines = [ln for ln in text.splitlines() if not ln.startswith(key)]
+        path = write_input(tmp_path, "\n".join(lines) + f"\n{option}\n")
+        out = tmp_path / "out"
+        assert cli.main(
+            ["analyze", str(path), "--tasks", "modes,dynamics", "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert message in err and f"line {len(lines) + 1}:" in err
+        assert not out.exists()
+
+    def test_watson_job_computes_inertia_derivatives_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = wa.interaction_coefficients
+
+        def counted(mol, l):
+            calls.append(1)
+            return original(mol, l)
+
+        monkeypatch.setattr(wa, "interaction_coefficients", counted)
+        code = cli.main(
+            ["analyze", str(FIXTURES / "water.inp"), "--tasks",
+             "modes,watson-diagnostics", "--out", str(tmp_path)]
+        )
+        assert code == 0 and len(calls) == 1
+
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -343,7 +437,74 @@ beta = 0.0 0.0
         assert len(report["modes"]["frequencies"]) == 3
 
 
+def xyz_per_line(molecule, result, job):
+    """modes.xyz written one line at a time, as the bulk writer must match."""
+    lines = []
+    for i in range(result.nmodes):
+        mode = result.cart_displacements[:, i].reshape(molecule.natoms, -1)
+        freq = result.frequencies_cm[i]
+        for t in range(job.frames):
+            s = job.amplitude * math.sin(2.0 * math.pi * t / job.frames)
+            lines.append(f"{molecule.natoms}")
+            lines.append(f"mode={i} freq={freq:.6f} frame={t}")
+            for atom, r0, d in zip(molecule.atoms, molecule.positions, mode):
+                xyz = r0.copy()
+                xyz[: d.size] += s * d
+                lines.append(f"{atom.label} {xyz[0]:.10f} {xyz[1]:.10f} {xyz[2]:.10f}")
+    return "\n".join(lines) + "\n"
+
+
+class TestXyzWriter:
+    @pytest.mark.parametrize("fixture", ["water.inp", "twomass.inp"])
+    def test_matches_per_line_writer(self, tmp_path, fixture):
+        parsed = parse_input(FIXTURES / fixture)
+        result = cli._solve_modes(parsed, "cm")
+        job = JobSpec(input_path=FIXTURES / fixture, frames=9, amplitude=0.7)
+        text = cli._xyz_frames(parsed.molecule, result, job)
+        assert text == xyz_per_line(parsed.molecule, result, job)
+        assert text.count("\n") == result.nmodes * 9 * (parsed.molecule.natoms + 2)
+
+    def test_percent_in_label_is_literal(self):
+        mol = mo.Molecule.from_lists(["%d%%"], [1.0], [[0.5, 0.0, 0.0]])
+        result = SimpleNamespace(nmodes=1, frequencies_cm=np.array([1.0]),
+                                 cart_displacements=np.array([[1.0], [0.0], [0.0]]))
+        job = JobSpec(input_path="x.inp", frames=2)
+        assert cli._xyz_frames(mol, result, job) == xyz_per_line(mol, result, job)
+
+
+def json_per_element(seq, indent):
+    """A list emitted element by element, the path every non-float list takes."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    items = [inner + cli.emit_json(v, indent + 1) for v in seq]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
 class TestJsonEmitter:
+    @pytest.mark.parametrize(
+        "seq",
+        [[1.5, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e-300],
+         list(np.random.default_rng(3).normal(size=50) * 1e10),
+         [np.float64(-0.0), 2.0, np.float64(1e-20)],
+         [1.0, float("nan"), 2.0],
+         [float("inf"), 1.0],
+         [1.0, float("-inf")],
+         [0.5, 1, np.float64(2.0)],
+         [True, 1.0],
+         [1.0, False],
+         [np.int64(3), 2.5],
+         [2.5, {"a": 1.0}],
+         [2.5, [1.0, 2.0]]],
+    )
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_float_lists_match_element_path(self, seq, indent):
+        assert cli.emit_json(seq, indent) == json_per_element(seq, indent)
+        assert cli.emit_json(tuple(seq), indent) == json_per_element(seq, indent)
+
+    def test_float_array_matches_element_path(self):
+        arr = np.array([[-0.0, 1.25e-7], [3.0, -4.5e300]])
+        assert cli.emit_json(arr, 1) == json_per_element(list(arr), 1)
+        assert cli.emit_json(arr[0]) == json_per_element(list(arr[0]), 0)
+
     def test_fixed_float_format(self):
         assert cli.emit_json(1.0) == "1.000000000000e+00"
         assert cli.emit_json(float("inf")) == '"inf"'

@@ -289,6 +289,29 @@ class TestModeAnimation:
             d2 = g[1, 0] - mol.positions[1, 0]
             assert d1 == pytest.approx(-d2, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_array_equals_per_frame_loop(self, dim):
+        # the per-frame factor and the per-element product round as in a
+        # frame-by-frame loop, so the geometries agree bit for bit
+        rng = np.random.default_rng(dim)
+        natoms = 4
+        positions = rng.normal(size=(natoms, 3))
+        positions[:, dim:] = 0.0
+        mol = mo.Molecule.from_lists(
+            [f"A{i}" for i in range(natoms)], [1.0] * natoms, positions,
+            dimensionality=dim,
+        )
+        mode = rng.normal(size=natoms * dim)
+        frames = nm.mode_animation(mol, mode, amplitude=0.37, frames=7)
+        assert frames.shape == (7, natoms, 3)
+        for t in range(7):
+            geom = mol.positions.copy()
+            geom[:, :dim] += (
+                0.37 * math.sin(2.0 * math.pi * t / 7) * mode.reshape(natoms, dim)
+            )
+            assert np.array_equal(frames[t], geom)
+            assert np.array_equal(np.signbit(frames[t]), np.signbit(geom))
+
     def test_validation(self):
         mol = water_molecule()
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from vibrot.frames import EulerAngles
 from vibrot.rotor import (
     InvalidQuantumNumbers,
     NegativeNmax,
+    NonFiniteLevels,
     NonPositiveConstant,
     NotSymmetricTop,
     SymTopState,
@@ -364,6 +365,15 @@ class TestAsymmetricLevels:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "consts",
+        [(1e308, 5e307, 1e307),          # J(J+1) B overflows on the diagonal
+         (1.7e308, 1.6e308, 1.5e308)],   # B + C itself overflows
+    )
+    def test_overflowing_constants_raise(self, consts):
+        with pytest.raises(NonFiniteLevels):
+            asymmetric_levels(classify(*consts), 2)
+
     def test_negative_j(self):
         with pytest.raises(InvalidQuantumNumbers):
             ladder_matrix_elements(-1)

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import water_molecule
-from vibrot import constants
+from conftest import FIXTURES, water_molecule
+from vibrot import cli, constants
 from vibrot import molecule as mo
 from vibrot import normalmodes as nm
+from vibrot import watson as wa
 from vibrot.molecule import Molecule
 from vibrot.quadform import SymMatrix
 from vibrot.watson import (
@@ -56,6 +57,45 @@ def zeta_bruteforce(l):
                     shaped[:, beta, k] * shaped[:, gamma, m]
                 )
     return out
+
+
+def zeta_per_pair_cross(l):
+    """zeta from one cross product per mode pair, summed over atoms.
+
+    This is the summation order coriolis_constants must reproduce bit for
+    bit, signed zeros included.
+    """
+    natoms = l.shape[0] // 3
+    n = l.shape[1]
+    shaped = l.reshape(natoms, 3, n)
+    zeta = np.zeros((3, n, n))
+    for k in range(n):
+        for m in range(k + 1, n):
+            c = np.cross(shaped[:, :, k], shaped[:, :, m]).sum(axis=0)
+            zeta[:, k, m] = c
+            zeta[:, m, k] = -c
+    return zeta
+
+
+def zigzag_l(natoms, planar):
+    """l of a zigzag chain (stretches and bends), jittered in or out of plane."""
+    jitter = np.random.default_rng(natoms).uniform(-0.1, 0.1, (natoms, 3))
+    if planar:
+        jitter[:, 2] = 0.0
+    positions = [[i * 0.816, 0.577 * (i % 2), 0.0] for i in range(natoms)]
+    masses = [12.0 + 2.0 * (i % 3) for i in range(natoms)]
+    mol = Molecule.from_lists(
+        [f"X{i}" for i in range(natoms)], masses, np.array(positions) + jitter
+    )
+    coords = [mo.BondStretch(i, i + 1) for i in range(natoms - 1)]
+    coords += [mo.AngleBend(i, i + 1, i + 2) for i in range(natoms - 2)]
+    b = mo.build_b_matrix(mol, mo.InternalCoordinateSet(tuple(coords)))
+    masses_m = mo.MassMatrix.from_molecule(mol)
+    f = SymMatrix(np.diag(np.linspace(1.0, 6.0, len(coords))))
+    res = nm.solve(
+        mo.build_g_matrix(b, masses_m), nm.ForceField(f=f), b=b, masses=masses_m
+    )
+    return res.l
 
 
 def fd_interaction(mol, l, step=1e-5):
@@ -118,6 +158,46 @@ class TestCoriolisConstants:
         tau = cd.tau(q)
         expected = np.einsum("aks,k->as", cd.zeta, q)
         np.testing.assert_allclose(tau, expected, atol=1e-15)
+
+
+class TestCoriolisBitIdentity:
+    def assert_bit_identical(self, l):
+        got = coriolis_constants(l).zeta
+        want = zeta_per_pair_cross(l)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        return want
+
+    def test_planar_water(self, water):
+        mol, _, _, _, res = water
+        self.assert_bit_identical(res.l)
+
+    def test_planar_water_with_exact_zeros(self, water):
+        # out-of-plane components exactly zero: the zero cross products carry
+        # a sign, and the lower triangle holds negative zeros
+        mol, _, _, _, res = water
+        l = res.l.copy()
+        l.reshape(3, 3, 3)[:, 0, :] = 0.0
+        want = self.assert_bit_identical(l)
+        assert np.any((want == 0.0) & np.signbit(want))
+
+    def test_sum_of_negative_zeros(self):
+        # every atom's y term is (-c)(0) - (0)(0) = -0.0; numpy's sum starts
+        # from +0.0, so zeta_y[0, 1] is +0.0 and zeta_y[1, 0] is -0.0
+        c = 1.0 / math.sqrt(2.0)
+        l = np.array([[0.0, 0.0], [0.0, c], [-c, 0.0]] * 2)
+        want = self.assert_bit_identical(l)
+        assert not np.signbit(want[1, 0, 1]) and np.signbit(want[1, 1, 0])
+
+    def test_ill_conditioned_fixture(self):
+        res = cli._solve_modes(cli.parse_input(FIXTURES / "illcond8.inp"), "cm")
+        self.assert_bit_identical(res.l)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_zigzag_chain(self, planar):
+        l = zigzag_l(24, planar)
+        assert l.shape == (72, 45)
+        self.assert_bit_identical(l)
 
 
 class TestInteractionCoefficients:
@@ -206,6 +286,20 @@ class TestInertiaExpansion:
             q = amp * np.array([1.0, 0.5, -0.8])
             direct = np.linalg.inv(ie.i_prime(q))
             np.testing.assert_allclose(ie.mu(q), direct, atol=1e-10)
+
+    def test_precomputed_a_coeff_used_as_given(self, water, monkeypatch):
+        mol, _, _, _, res = water
+        cd = coriolis_data(mol, res.l)
+        fresh = inertia_expansion(mol, res.l)
+
+        def fail(*args):
+            raise AssertionError("a_coeff recomputed")
+
+        monkeypatch.setattr(wa, "interaction_coefficients", fail)
+        ie = inertia_expansion(mol, res.l, cd.a_coeff)
+        assert ie.a_coeff is cd.a_coeff
+        assert np.array_equal(ie.a_coeff, fresh.a_coeff)
+        assert np.array_equal(ie.i0, fresh.i0)
 
     def test_singular_inertia_rejected(self):
         ie = InertiaExpansion(i0=np.eye(3), a_coeff=np.array([-2.0 * np.eye(3)]))
