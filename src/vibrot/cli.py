@@ -362,16 +362,13 @@ def parse_input(path) -> ParsedInput:
 # -- deterministic JSON --------------------------------------------------------
 
 
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+
+
 def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in '"\\':
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    if s.isprintable() and '"' not in s and "\\" not in s:  # nothing to escape
+        return '"' + s + '"'
+    return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
 def emit_json(obj, indent: int = 0) -> str:
@@ -381,10 +378,19 @@ def emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f"{inner}{_json_escape(str(k))}: {emit_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
+        items = []
+        for k, v in obj.items():
+            # exact int, str and finite float values inline; the rest recurse
+            t = type(v)
+            if t is int:
+                text = str(v)
+            elif t is str:
+                text = _json_escape(v)
+            elif t is float and math.isfinite(v):
+                text = "%.12e" % v
+            else:
+                text = emit_json(v, indent + 1)
+            items.append(f"{inner}{_json_escape(str(k))}: {text}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
@@ -459,16 +465,17 @@ def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec) -> str:
 
 
 def _levels_text(spec: ro.RotorSpec, levels) -> str:
-    lines = [
+    header = (
         f"# rotor: A={spec.a_const:.6f} B={spec.b_const:.6f} C={spec.c_const:.6f} "
-        f"({spec.classification})",
-        "#   J  parity  index        E(cm-1)  degeneracy",
+        f"({spec.classification})\n"
+        "#   J  parity  index        E(cm-1)  degeneracy\n"
+    )
+    values = [
+        x
+        for lv in levels
+        for x in (lv.j, lv.parity_class, lv.index, lv.energy, lv.degeneracy)
     ]
-    for lv in levels:
-        lines.append(
-            f"{lv.j:5d}  {lv.parity_class:>6s}  {lv.index:5d} {lv.energy:14.6f}  {lv.degeneracy:10d}"
-        )
-    return "\n".join(lines) + "\n"
+    return header + "%5d  %6s  %5d %14.6f  %10d\n" * len(levels) % tuple(values)
 
 
 def _trajectory_csv(times, states) -> str:

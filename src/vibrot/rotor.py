@@ -2,10 +2,13 @@
 
 Symmetric tops have the closed-form energy B J(J+1) + (A-B) k^2, rederived
 here through the Frobenius series of the polar equation whose truncation
-quantizes the spectrum.  Asymmetric tops are diagonalized in the
-symmetric-top |J,k> basis after the Wang parity transform splits each J
-block into E+/E-/O+/O- sub-blocks.  All energies are in the units of the
-rotational constants (cm^-1 by convention); hbar is absorbed into them.
+quantizes the spectrum.  Asymmetric tops are solved in the symmetric-top
+|J,k> basis, where H couples k only to k +- 2: each of the Wang parity
+blocks E+/E-/O+/O- of a J manifold is tridiagonal, so the blocks are built
+straight from the two diagonals of H, and the levels are their eigenvalues
+(eigvalsh; no eigenvectors).  Symmetric-top wavefunctions use Wigner's d in
+Jacobi-polynomial form.  All energies are in the units of the rotational
+constants (cm^-1 by convention); hbar is absorbed into them.
 """
 
 from __future__ import annotations
@@ -200,31 +203,35 @@ def frobenius_solve(spec: RotorSpec, k: int, m: int, j_target: int):
 def wavefunction_value(state: SymTopState, angles: EulerAngles) -> complex:
     """Symmetric-top wavefunction |J,k,m> at the given Euler angles.
 
-    Explicit finite-sum form with the closed normalization; the modulus
-    squared integrates to one over sin(theta) dtheta dphi dchi.
+    psi = sqrt((2J+1) / (8 pi^2)) d^J_mk(theta) exp(i (m phi + k chi)); the
+    modulus squared integrates to one over sin(theta) dtheta dphi dchi.
+    Wigner's d is taken in its Jacobi-polynomial form,
+    d = +- sqrt(n! (n+a+b)! / ((n+a)! (n+b)!)) sin^a(theta/2) cos^b(theta/2)
+    P_n^(a,b)(cos theta) with a = |k-m|, b = |k+m|, n = J - (a+b)/2, and
+    P_n comes from its three-term recurrence (DLMF 18.9.2).  Unlike the
+    alternating factorial sum, this neither cancels nor overflows at large J.
     """
     j, k, m = state.j, state.k, state.m
-    half = 0.5 * angles.theta
-    c, s = math.cos(half), math.sin(half)
-    total = 0.0
-    for sigma in range(max(0, k - m), min(j - m, j + k) + 1):
-        num = (c ** (2 * j + k - m - 2 * sigma)) * ((-s) ** (m - k + 2 * sigma))
-        den = (
-            math.factorial(sigma)
-            * math.factorial(j - m - sigma)
-            * math.factorial(m - k + sigma)
-            * math.factorial(j + k - sigma)
-        )
-        total += (-1) ** sigma * num / den
-    norm = math.sqrt(
-        math.factorial(j + m)
-        * math.factorial(j - m)
-        * math.factorial(j + k)
-        * math.factorial(j - k)
-        * (2 * j + 1)
-        / (8.0 * math.pi**2)
+    a, b = abs(k - m), abs(k + m)
+    n = j - (a + b) // 2
+    x = math.cos(angles.theta)
+    p_prev, p = 1.0, 0.5 * (a - b + (a + b + 2) * x)  # P_0 and P_1
+    if n == 0:
+        p = p_prev
+    for i in range(2, n + 1):
+        c = 2 * i + a + b
+        p_prev, p = p, (
+            (c - 1) * (c * (c - 2) * x + a * a - b * b) * p
+            - 2 * (i + a - 1) * (i + b - 1) * c * p_prev
+        ) / (2 * i * (i + a + b) * (c - 2))
+    ratio = (math.factorial(n) * math.factorial(n + a + b)) / (
+        math.factorial(n + a) * math.factorial(n + b)
     )
-    return norm * total * cmath.exp(1j * (m * angles.phi + k * angles.chi))
+    sign = -1 if k < m and (m - k) % 2 else 1
+    half = 0.5 * angles.theta
+    d = sign * math.sqrt(ratio) * math.sin(half) ** a * math.cos(half) ** b * p
+    norm = math.sqrt((2 * j + 1) / (8.0 * math.pi**2))
+    return norm * d * cmath.exp(1j * (m * angles.phi + k * angles.chi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,23 +291,36 @@ def ladder_matrix_elements(j: int) -> LadderTable:
     )
 
 
+def _band(spec: RotorSpec, j: int):
+    """The two diagonals of the J Hamiltonian, indexed by k + J.
+
+    d[k + J] = H[k, k] = (B+C)/2 J(J+1) + [A - (B+C)/2] k^2 for k = -J..J;
+    o[k + J] = H[k, k+2] = (B-C)/4 sqrt(J(J+1) - (k+2)(k+1)) sqrt(J(J+1) - (k+1)k)
+    for k = -J..J-2.  Every other element of H is zero.
+    """
+    a_c, b_c, c_c = spec.a_const, spec.b_const, spec.c_const
+    jj = float(j * (j + 1))
+    ks = np.arange(-j, j + 1, dtype=float)
+    d = 0.5 * (b_c + c_c) * jj + (a_c - 0.5 * (b_c + c_c)) * (ks * ks)
+    k = ks[:-2]
+    o = 0.25 * (b_c - c_c) * (np.sqrt(jj - (k + 2) * (k + 1)) * np.sqrt(jj - (k + 1) * k))
+    return d, o
+
+
 def asymmetric_hamiltonian(spec: RotorSpec, j: int) -> np.ndarray:
     """Rigid-rotor Hamiltonian for one J in the |J,k,0> basis (cm^-1).
 
     H = (B+C)/2 J^2 + [A - (B+C)/2] Jz^2 + (B-C)/4 ((J+_m)^2 + (J-_m)^2);
-    squared ladders couple k to k -+ 2, so the matrix is real symmetric and
-    independent of m.
+    squared ladders couple k to k -+ 2, so the matrix is real symmetric,
+    independent of m, and filled here from its two diagonals (`_band`).
     """
     if j < 0:
         raise InvalidQuantumNumbers(f"J = {j} < 0")
-    a_c, b_c, c_c = spec.a_const, spec.b_const, spec.c_const
-    t = ladder_matrix_elements(j)
-    h = (
-        0.5 * (b_c + c_c) * t.jsq
-        + (a_c - 0.5 * (b_c + c_c)) * (t.jz @ t.jz)
-        + 0.25 * (b_c - c_c) * (t.jplus_m @ t.jplus_m + t.jminus_m @ t.jminus_m)
-    )
-    return 0.5 * (h + h.T)
+    d, o = _band(spec, j)
+    h = np.diag(d)
+    rows = np.arange(o.size)
+    h[rows, rows + 2] = h[rows + 2, rows] = o
+    return h
 
 
 def _wang_label(j: int, kabs: int, sign: int) -> str:
@@ -309,68 +329,49 @@ def _wang_label(j: int, kabs: int, sign: int) -> str:
     return f"|{j},{kabs},0,{'+' if sign > 0 else '-'}>"
 
 
-def _wang_transform(j: int):
-    """Columns of the Wang transform, with (|k|, parity) labels.
+def _parity_blocks(d: np.ndarray, o: np.ndarray, j: int) -> list:
+    """The Wang blocks E+, E-, O+, O- of one J, built from the band of H.
 
-    Column order: k = 0 first, then ascending |k| with + before -.
+    In the basis (|J,k,0> +- |J,-k,0>)/sqrt(2) (|J,0,0> alone in E+), each
+    block is tridiagonal over its |k| values in ascending order, with the
+    diagonal d_k and the coupling o_k between |k| and |k|+2.  Two elements
+    differ: |0> couples to |2,+> with sqrt(2) o_0, and the |1,+-> diagonal
+    is d_1 +- H[1,-1].  Returns (parity class, |k| values, matrix) per block.
     """
-    dim = 2 * j + 1
-    idx = {k: k + j for k in range(-j, j + 1)}
-    cols = []
-    labels = []
-    e0 = np.zeros(dim)
-    e0[idx[0]] = 1.0
-    cols.append(e0)
-    labels.append((0, +1))
-    for kabs in range(1, j + 1):
-        for sign in (+1, -1):
-            v = np.zeros(dim)
-            v[idx[kabs]] = 1.0 / math.sqrt(2.0)
-            v[idx[-kabs]] = sign / math.sqrt(2.0)
-            cols.append(v)
-            labels.append((kabs, sign))
-    return np.column_stack(cols), labels
+    blocks = []
+    for cls, start in (("E+", 0), ("E-", 2), ("O+", 1), ("O-", 1)):
+        ks = np.arange(start, j + 1, 2)
+        h = np.diag(d[ks + j])
+        rows = np.arange(ks.size - 1)
+        h[rows, rows + 1] = h[rows + 1, rows] = o[ks[:-1] + j]
+        if start == 0 and j >= 2:
+            h[0, 1] = h[1, 0] = math.sqrt(2.0) * o[j]
+        elif start == 1 and j >= 1:
+            h[0, 0] += o[j - 1] if cls == "O+" else -o[j - 1]
+        blocks.append((cls, ks, h))
+    return blocks
 
 
 def wang_blocks(h: np.ndarray, j: int) -> list:
     """Parity-adapted blocks of an asymmetric-top J Hamiltonian.
 
     The Wang combinations (|J,k,0> +- |J,-k,0>)/sqrt(2) decouple even from
-    odd k and + from - parity, leaving the four blocks E+, E-, O+, O-.
+    odd k and + from - parity, leaving the four blocks E+, E-, O+, O-.  They
+    are read from the diagonal and the k+-2 band of h.
     """
     h = np.asarray(h, dtype=float)
     dim = 2 * j + 1
     if h.shape != (dim, dim):
         raise InvalidQuantumNumbers(f"Hamiltonian shape {h.shape} does not match J={j}")
-    w, labels = _wang_transform(j)
-    hw = w.T @ h @ w
-
-    def block_class(kabs, sign):
-        even = kabs % 2 == 0
-        return ("E" if even else "O") + ("+" if sign > 0 else "-")
-
     blocks = []
-    for cls in ("E+", "E-", "O+", "O-"):
-        sel = [i for i, (kabs, sign) in enumerate(labels) if block_class(kabs, sign) == cls]
-        if not sel:
-            blocks.append(
-                AsymTopBlock(
-                    j=j,
-                    parity_class=cls,
-                    basis=(),
-                    hmatrix=np.zeros((0, 0)),
-                    eigenvalues=np.zeros(0),
-                    eigenvectors=np.zeros((0, 0)),
-                )
-            )
-            continue
-        sub = hw[np.ix_(sel, sel)]
+    for cls, ks, sub in _parity_blocks(h.diagonal(), h.diagonal(2), j):
+        sign = 1 if cls.endswith("+") else -1
         vals, vecs = np.linalg.eigh(sub)
         blocks.append(
             AsymTopBlock(
                 j=j,
                 parity_class=cls,
-                basis=tuple(_wang_label(j, *labels[i]) for i in sel),
+                basis=tuple(_wang_label(j, int(k), sign) for k in ks),
                 hmatrix=sub,
                 eigenvalues=vals,
                 eigenvectors=vecs,
@@ -379,52 +380,32 @@ def wang_blocks(h: np.ndarray, j: int) -> list:
     return blocks
 
 
-def cross_block_residual(h: np.ndarray, j: int) -> float:
-    """Largest Wang-basis matrix element between different parity blocks."""
-    w, labels = _wang_transform(j)
-    hw = w.T @ np.asarray(h, dtype=float) @ w
-    classes = [("E" if kabs % 2 == 0 else "O") + ("+" if s > 0 else "-") for kabs, s in labels]
-    worst = 0.0
-    for i, ci in enumerate(classes):
-        for k, ck in enumerate(classes):
-            if ci != ck:
-                worst = max(worst, abs(hw[i, k]))
-    return worst
-
-
 def asymmetric_levels(spec: RotorSpec, j_max: int) -> list:
     """All rotor levels up to j_max, each with its 2J+1 m-degeneracy.
 
-    Within one J the block eigenvalues are merged in ascending order;
-    labels keep the parity class and the level's index inside its block.
-    Raises NonFiniteLevels when a Hamiltonian or a level is not finite.
+    Each J's Wang blocks are built straight from the band of H and only
+    their eigenvalues are computed.  Within one J the block eigenvalues are
+    merged in ascending order; labels keep the parity class and the level's
+    index inside its block.  Raises NonFiniteLevels when the band of H or a
+    level is not finite.
     """
     if j_max < 0:
         raise InvalidQuantumNumbers(f"j_max = {j_max} < 0")
     levels = []
     for j in range(j_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            h = asymmetric_hamiltonian(spec, j)
-        # H couples k only to k and k +- 2, so two diagonals hold all of it
-        if not (np.isfinite(h.diagonal()).all() and np.isfinite(h.diagonal(2)).all()):
+            d, o = _band(spec, j)
+            blocks = _parity_blocks(d, o, j)
+        if not (np.isfinite(d).all() and np.isfinite(o).all()):
             raise NonFiniteLevels(f"rotor Hamiltonian for J = {j} is not finite")
         entries = []
-        for block in wang_blocks(h, j):
-            if not np.isfinite(block.eigenvalues).all():
+        for cls, _, sub in blocks:
+            vals = np.linalg.eigvalsh(sub)
+            if not np.isfinite(vals).all():
                 raise NonFiniteLevels(f"rotor levels for J = {j} are not finite")
-            for idx, e in enumerate(block.eigenvalues):
-                entries.append((float(e), block.parity_class, idx))
-        entries.sort(key=lambda t: (t[0], t[1], t[2]))
-        for e, cls, idx in entries:
-            levels.append(
-                RotorLevel(
-                    j=j,
-                    parity_class=cls,
-                    index=idx,
-                    energy=e,
-                    degeneracy=2 * j + 1,
-                )
-            )
+            entries.extend((e, cls, idx) for idx, e in enumerate(vals.tolist()))
+        entries.sort()
+        levels.extend(RotorLevel(j, cls, idx, e, 2 * j + 1) for e, cls, idx in entries)
     return levels
 
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import FIXTURES
 from vibrot import cli
 from vibrot import molecule as mo
+from vibrot import rotor as ro
 from vibrot import watson as wa
 from vibrot.cli import JobSpec, ParseError, ValidationError, parse_input, run
 
@@ -300,8 +301,9 @@ beta = 0.0 0.0
         [(("[force_constants]\n8.45", "[force_constants]\nnan"), 2,
           "line 13: not a finite number"),
          (("O 15.999 0.0 ", "O 15.999 nan "), 2, "line 3: not a finite number"),
+         # J = 1 levels (at most A + B = 1.5e308) are finite; J = 2 overflows
          (("", "\n[rotor]\na = 1e308\nb = 5e307\nc = 1e307\n"), 3,
-          "rotor Hamiltonian for J = 1 is not finite")],
+          "rotor Hamiltonian for J = 2 is not finite")],
         ids=["nan-force-constant", "nan-coordinate", "overflowing-rotor"],
     )
     def test_non_finite_input_or_levels_exit_with_no_outputs(
@@ -516,3 +518,116 @@ class TestJsonEmitter:
             '  "a": {\n    "x": null,\n    "y": true\n  }\n}'
         )
         assert cli.emit_json(obj) == expected
+
+
+def json_escape_per_char(s):
+    out = []
+    for ch in s:
+        if ch in '"\\':
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return '"' + "".join(out) + '"'
+
+
+def emit_json_per_element(obj, indent=0):
+    """report.json text built one element and one key at a time."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json_escape_per_char(str(k))}: {emit_json_per_element(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
+            return "[]"
+        items = [f"{inner}{emit_json_per_element(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        if math.isnan(x):
+            return '"nan"'
+        return f"{x:.12e}"
+    if obj is None:
+        return "null"
+    return json_escape_per_char(str(obj))
+
+
+def levels_text_per_line(spec, levels):
+    lines = [
+        f"# rotor: A={spec.a_const:.6f} B={spec.b_const:.6f} C={spec.c_const:.6f} "
+        f"({spec.classification})",
+        "#   J  parity  index        E(cm-1)  degeneracy",
+    ]
+    for lv in levels:
+        lines.append(
+            f"{lv.j:5d}  {lv.parity_class:>6s}  {lv.index:5d} {lv.energy:14.6f}  {lv.degeneracy:10d}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, want):
+    """Byte equality, reported by the first differing line (pytest's full diff
+    of two long texts takes minutes)."""
+    if got != want:
+        pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        first = next(
+            ((i, g, w) for i, (g, w) in enumerate(pairs) if g != w),
+            ("lengths", len(got), len(want)),
+        )
+        pytest.fail(f"texts differ, first at line {first}")
+
+
+class TestRotorWriters:
+    ODD = 'q"\\\x01\x1f\x7f é%s'  # quote, backslash, control, DEL, non-ASCII, %
+
+    def rotor_output(self):
+        spec = ro.classify(27.88, 14.51, 9.28)
+        levels = ro.asymmetric_levels(spec, 40) + [
+            ro.RotorLevel(41, self.ODD, 0, -0.0, 83),
+            ro.RotorLevel(41, "E+", 1, math.inf, 83),
+            ro.RotorLevel(41, "O-", 2, math.nan, 83),
+        ]
+        report = {
+            "input": self.ODD,
+            "rotor": {
+                "constants": {"a": spec.a_const, "b": np.float64(spec.b_const), "c": 1e-300},
+                "classification": spec.classification,
+                "jmax": 40,
+                "levels": [
+                    {"j": lv.j, "parity": lv.parity_class, "index": lv.index,
+                     "energy": lv.energy, "degeneracy": lv.degeneracy}
+                    for lv in levels
+                ],
+            },
+            self.ODD: {self.ODD: [1.0, self.ODD], "flag": True, "none": None,
+                       "big": 10**30, "n": np.int64(-3), "e": {}, "l": []},
+            3: -math.inf,
+        }
+        return spec, levels, report
+
+    def test_emit_json_matches_per_element_writer(self):
+        _, _, report = self.rotor_output()
+        text = cli.emit_json(report)
+        assert_same_text(text, emit_json_per_element(report))
+        assert json.loads(text)[self.ODD][self.ODD][1] == self.ODD
+
+    def test_levels_text_matches_per_line_writer(self):
+        spec, levels, _ = self.rotor_output()
+        assert_same_text(cli._levels_text(spec, levels), levels_text_per_line(spec, levels))
+
+    def test_escape_matches_per_char_loop(self):
+        for s in ("", "plain", 'say "hi"', "a\\b", "tab\t", self.ODD,
+                  "".join(map(chr, range(0x90)))):
+            assert cli._json_escape(s) == json_escape_per_char(s)

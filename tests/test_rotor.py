@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from vibrot import rotor
 from vibrot.frames import EulerAngles
 from vibrot.rotor import (
     InvalidQuantumNumbers,
@@ -16,13 +19,78 @@ from vibrot.rotor import (
     asymmetric_hamiltonian,
     asymmetric_levels,
     classify,
-    cross_block_residual,
     frobenius_solve,
     ladder_matrix_elements,
     symmetric_top_energy,
     wang_blocks,
     wavefunction_value,
 )
+
+
+def wang_transform(j):
+    """Dense Wang transform: columns (|k> + s|-k>)/sqrt(2), with (|k|, s) labels.
+
+    Column order: k = 0 first, then ascending |k| with + before -.  Tests use
+    it as an oracle independent of the band-built blocks.
+    """
+    dim = 2 * j + 1
+    cols = []
+    labels = []
+    e0 = np.zeros(dim)
+    e0[j] = 1.0
+    cols.append(e0)
+    labels.append((0, +1))
+    for kabs in range(1, j + 1):
+        for sign in (+1, -1):
+            v = np.zeros(dim)
+            v[j + kabs] = 1.0 / math.sqrt(2.0)
+            v[j - kabs] = sign / math.sqrt(2.0)
+            cols.append(v)
+            labels.append((kabs, sign))
+    return np.column_stack(cols), labels
+
+
+def parity_class(kabs, sign):
+    return ("E" if kabs % 2 == 0 else "O") + ("+" if sign > 0 else "-")
+
+
+def dense_wang_blocks(h, j):
+    """{parity class: sub-block of W^T H W}, the blocks by dense transform."""
+    w, labels = wang_transform(j)
+    hw = w.T @ h @ w
+    classes = [parity_class(*lab) for lab in labels]
+    return {
+        cls: hw[np.ix_(*[[i for i, c in enumerate(classes) if c == cls]] * 2)]
+        for cls in ("E+", "E-", "O+", "O-")
+    }
+
+
+def cross_block_residual(h, j):
+    """Largest Wang-basis matrix element between different parity blocks."""
+    w, labels = wang_transform(j)
+    hw = w.T @ np.asarray(h, dtype=float) @ w
+    classes = [parity_class(*lab) for lab in labels]
+    worst = 0.0
+    for i, ci in enumerate(classes):
+        for k, ck in enumerate(classes):
+            if ci != ck:
+                worst = max(worst, abs(hw[i, k]))
+    return worst
+
+
+def ladder_hamiltonian(spec, j):
+    """H from dense products of the ladder matrices, the textbook route."""
+    a_c, b_c, c_c = spec.a_const, spec.b_const, spec.c_const
+    t = ladder_matrix_elements(j)
+    h = (
+        0.5 * (b_c + c_c) * t.jsq
+        + (a_c - 0.5 * (b_c + c_c)) * (t.jz @ t.jz)
+        + 0.25 * (b_c - c_c) * (t.jplus_m @ t.jplus_m + t.jminus_m @ t.jminus_m)
+    )
+    return 0.5 * (h + h.T)
+
+
+ASYMMETRIC = [(3.7, 2.2, 0.9), (27.88, 14.51, 9.28), (1.2, 1.1, 0.3), (40.0, 0.9, 0.2)]
 
 
 class TestClassify:
@@ -185,6 +253,80 @@ class TestWavefunction:
             assert abs(self._overlap(s1, s2)) < 1e-6
 
 
+def factorial_sum(j, k, m, theta):
+    """d^J_mk(theta) by Wigner's alternating factorial sum, and the sum of |terms|.
+
+    The second value bounds the sum's cancellation: its rounding error is a
+    small multiple of eps times it.
+    """
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    terms = [
+        (-1) ** sigma
+        * c ** (2 * j + k - m - 2 * sigma)
+        * (-s) ** (m - k + 2 * sigma)
+        / (
+            math.factorial(sigma)
+            * math.factorial(j - m - sigma)
+            * math.factorial(m - k + sigma)
+            * math.factorial(j + k - sigma)
+        )
+        for sigma in range(max(0, k - m), min(j - m, j + k) + 1)
+    ]
+    norm = math.sqrt(
+        math.factorial(j + m) * math.factorial(j - m)
+        * math.factorial(j + k) * math.factorial(j - k)
+    )
+    return norm * math.fsum(terms), norm * math.fsum(abs(t) for t in terms)
+
+
+def exact_d_at_right_angle(j, k, m):
+    """d^J_mk(pi/2) from exact integers: there cos and sin of theta/2 are 2^-1/2."""
+    total = sum(
+        (-1) ** (m - k + 3 * sigma) * math.comb(j + m, m - k + sigma) * math.comb(j - m, sigma)
+        for sigma in range(max(0, k - m), min(j - m, j + k) + 1)
+    )
+    ratio = Fraction(
+        math.factorial(j + k) * math.factorial(j - k),
+        math.factorial(j + m) * math.factorial(j - m),
+    )
+    return math.sqrt(ratio) * float(Fraction(total, 2**j))
+
+
+def d_value(j, k, m, theta):
+    psi = wavefunction_value(SymTopState(j, k, m), EulerAngles(0.0, theta, 0.0))
+    return psi.real / math.sqrt((2 * j + 1) / (8 * math.pi**2))
+
+
+class TestWavefunctionLargeJ:
+    @pytest.mark.parametrize("j", [1, 2, 5, 10, 15, 20])
+    def test_matches_factorial_sum(self, j):
+        for theta in (0.3, math.pi / 2, 2.9):
+            for k in range(-j, j + 1):
+                for m in range(-j, j + 1):
+                    want, magnitude = factorial_sum(j, k, m, theta)
+                    assert abs(d_value(j, k, m, theta) - want) <= 1e-13 * magnitude
+
+    @pytest.mark.parametrize("j", [57, 80, 100, 200])
+    def test_closed_form_at_zero(self, j):
+        top = math.sqrt((2 * j + 1) / (8 * math.pi**2))
+        origin = EulerAngles(0.0, 0.0, 0.0)
+        for k in (0, 1, 5, -7, j, -j):
+            assert wavefunction_value(SymTopState(j, k, k), origin) == pytest.approx(
+                top, rel=1e-15
+            )
+        for k, m in ((1, 0), (5, 3), (-j, j)):
+            assert wavefunction_value(SymTopState(j, k, m), origin) == 0.0
+
+    @pytest.mark.parametrize("j", [20, 57, 100, 200])
+    def test_exact_at_right_angle(self, j):
+        # the alternating sum loses every digit here from J ~ 55 on
+        step = max(1, j // 6)
+        for k in range(-j, j + 1, step):
+            for m in range(-j, j + 1, step):
+                want = exact_d_at_right_angle(j, k, m)
+                assert abs(d_value(j, k, m, math.pi / 2) - want) <= 1e-13
+
+
 class TestLadders:
     def test_k_lowering_element(self):
         t = ladder_matrix_elements(1)
@@ -255,6 +397,14 @@ class TestAsymmetricHamiltonian:
         )
         np.testing.assert_allclose(blocks["E+"].hmatrix, expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "abc", ASYMMETRIC + [(5.0, 1.5, 1.5), (5.0, 5.0, 1.0), (3.0, 3.0, 3.0)]
+    )
+    def test_band_build_equals_ladder_products(self, abc):
+        spec = classify(*abc)
+        for j in range(61):
+            assert np.array_equal(asymmetric_hamiltonian(spec, j), ladder_hamiltonian(spec, j))
+
     def test_diagonal_entries(self):
         a, b, c = 4.2, 1.7, 0.9
         h = asymmetric_hamiltonian(classify(a, b, c), 3)
@@ -305,6 +455,29 @@ class TestWangBlocks:
             assert blocks["E-"] == (j - 1) // 2
             assert blocks["E+"] == blocks["O+"] == blocks["O-"] == (j + 1) // 2
 
+    def test_basis_labels(self):
+        blocks = {
+            blk.parity_class: blk.basis
+            for blk in wang_blocks(asymmetric_hamiltonian(classify(3, 2, 1), 3), 3)
+        }
+        assert blocks == {
+            "E+": ("|3,0,0>", "|3,2,0,+>"),
+            "E-": ("|3,2,0,->",),
+            "O+": ("|3,1,0,+>", "|3,3,0,+>"),
+            "O-": ("|3,1,0,->", "|3,3,0,->"),
+        }
+
+    @pytest.mark.parametrize("abc", ASYMMETRIC)
+    def test_band_blocks_match_dense_transform(self, abc):
+        spec = classify(*abc)
+        for j in range(61):
+            h = asymmetric_hamiltonian(spec, j)
+            dense = dense_wang_blocks(h, j)
+            for blk in wang_blocks(h, j):
+                want = dense[blk.parity_class]
+                assert blk.hmatrix.shape == want.shape
+                np.testing.assert_array_max_ulp(blk.hmatrix, want, maxulp=4)
+
     def test_no_cross_block_coupling(self):
         for j in range(1, 7):
             h = asymmetric_hamiltonian(classify(3.7, 2.2, 0.9), j)
@@ -352,6 +525,31 @@ class TestAsymmetricLevels:
             total = sum(lv.energy for lv in levels if lv.j == j)
             assert total == pytest.approx(tr, rel=1e-10)
 
+    @pytest.mark.parametrize("abc", ASYMMETRIC)
+    def test_parity_classes_match_dense_blocks(self, abc):
+        spec = classify(*abc)
+        levels = asymmetric_levels(spec, 20)
+        for j in range(21):
+            dense = dense_wang_blocks(ladder_hamiltonian(spec, j), j)
+            for cls, block in dense.items():
+                mine = sorted(
+                    (lv.index, lv.energy) for lv in levels if lv.j == j and lv.parity_class == cls
+                )
+                want = np.linalg.eigvalsh(block)
+                assert [i for i, _ in mine] == list(range(want.size))
+                np.testing.assert_allclose(
+                    [e for _, e in mine], want, rtol=0, atol=1e-13 * abs(want).max(initial=1.0)
+                )
+
+    def test_no_dense_hamiltonian_or_eigenvectors(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the levels must come from the band alone")
+
+        for name in ("asymmetric_hamiltonian", "wang_blocks", "ladder_matrix_elements"):
+            monkeypatch.setattr(rotor, name, forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert len(asymmetric_levels(classify(3.7, 2.2, 0.9), 8)) == 81
+
     def test_levels_monotone_in_a(self):
         b, c = 2.0, 1.0
         grids = np.linspace(2.5, 6.0, 15)
@@ -362,6 +560,65 @@ class TestAsymmetricLevels:
         stacked = np.array(stacked)
         diffs = np.diff(stacked, axis=0)
         assert diffs.min() > -1e-10  # each labeled level grows with A
+
+
+def levels_by_j(levels, jmax):
+    by_j = [[] for _ in range(jmax + 1)]
+    for lv in levels:
+        by_j[lv.j].append(lv.energy)
+    return by_j
+
+
+positive = st.floats(0.05, 20.0)
+ratio = st.floats(1.05, 30.0)
+closeness = st.floats(0.0, 1e-2)
+
+
+class TestRotorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(positive, positive, positive), st.integers(0, 30))
+    def test_trace_rule_per_j(self, abc, jmax):
+        spec = classify(*abc)
+        total_abc = spec.a_const + spec.b_const + spec.c_const
+        for j, energies in enumerate(levels_by_j(asymmetric_levels(spec, jmax), jmax)):
+            want = (2 * j + 1) * j * (j + 1) * total_abc / 3
+            assert abs(math.fsum(energies) - want) <= 1e-13 * want
+
+    # King, Hainer & Cross, J. Chem. Phys. 11, 27 (1943): the asymmetric levels
+    # go to the prolate closed form as B -> C and to the oblate one as A -> B.
+    # H differs from the limiting top's H by an operator of norm at most
+    # |B - C| J(J+1) / 2 (or |A - B| J(J+1) / 2), which by Weyl's inequality
+    # bounds how far each sorted level may lie from the closed form.
+
+    @staticmethod
+    def assert_within_weyl_bound(spec, limit, gap, jmax):
+        levels = levels_by_j(asymmetric_levels(spec, jmax), jmax)
+        for j, energies in enumerate(levels):
+            want = sorted(symmetric_top_energy(limit, j, k) for k in range(-j, j + 1))
+            bound = 0.5 * gap * j * (j + 1) + 1e-12 * spec.a_const * (j * (j + 1) + 1)
+            assert max(abs(g - w) for g, w in zip(sorted(energies), want)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(positive, ratio, closeness, st.integers(0, 20))
+    def test_prolate_limit(self, c, r, t, jmax):
+        a = c * r
+        b = c + t * (a - c)
+        spec = classify(a, b, c)
+        mid = 0.5 * (spec.b_const + spec.c_const)
+        limit = classify(spec.a_const, mid, mid)
+        assert limit.classification == "prolate-symmetric"
+        self.assert_within_weyl_bound(spec, limit, spec.b_const - spec.c_const, jmax)
+
+    @settings(max_examples=40, deadline=None)
+    @given(positive, ratio, closeness, st.integers(0, 20))
+    def test_oblate_limit(self, c, r, t, jmax):
+        a = c * r
+        b = a - t * (a - c)
+        spec = classify(a, b, c)
+        mid = 0.5 * (spec.a_const + spec.b_const)
+        limit = classify(mid, mid, spec.c_const)
+        assert limit.classification == "oblate-symmetric"
+        self.assert_within_weyl_bound(spec, limit, spec.a_const - spec.b_const, jmax)
 
 
 class TestValidation:
