@@ -10,15 +10,19 @@ The input is a single keyed text file with bracketed sections:
     [force_constants]       dense lower-triangle rows, or full square rows
     [rotor]                 a = .., b = .., c = ..    (cm^-1, optional)
     [dynamics]              kappa = .., beta = ..     (optional)
-                            t_end = 10.0 (> 0), samples = 201 (integer > 0)
+                            t_end = 10.0 (> 0), samples = 201 (integer > 0,
+                            samples x coordinates <= TRAJECTORY_VALUES_MAX)
 
 Every number must be finite; nan, inf and overflowing literals are parse
 errors.
 
 Outputs: report.json (always), modes.xyz, levels.txt, trajectory.csv as
 requested by the task list.  report.json is byte-deterministic: fixed field
-order and %.12e float formatting.  Exit codes: 0 success, 2 validation or
-usage error, 3 numerical failure.
+order and %.12e float formatting.  modes.xyz and trajectory.csv are
+streamed to disk in chunks, not built as one string first.
+Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
+on failure every output file of the run is removed, also one that failed
+midway.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ TASKS = ("modes", "dynamics", "rotor", "watson-diagnostics")
 # with a warning.
 F_SYMMETRY_REJECT = 1e-9
 F_SYMMETRY_WARN = 1e-12
+# Largest trajectory a [dynamics] section may ask for, counted in values
+# (samples x internal coordinates): 10^7 values are 80 MB per float64 array
+# and about 200 MB of trajectory.csv.
+TRAJECTORY_VALUES_MAX = 10_000_000
 
 log = logging.getLogger(__name__)
 
@@ -356,6 +364,11 @@ def parse_input(path) -> ParsedInput:
                 raise ParseError(lineno, f"samples must be an integer: {value!r}") from None
             if dyn_options["samples"] < 1:
                 raise ValidationError(f"line {lineno}: samples must be positive")
+            if dyn_options["samples"] * len(ics) > TRAJECTORY_VALUES_MAX:
+                raise ValidationError(
+                    f"line {lineno}: samples x {len(ics)} coordinates exceeds "
+                    f"{TRAJECTORY_VALUES_MAX} trajectory values"
+                )
     return ParsedInput(molecule, ics, force_field, rotor_spec, initial, dyn_options)
 
 
@@ -426,10 +439,16 @@ class _Outputs:
     directory: Path
     written: list = field(default_factory=list)
 
-    def write(self, name: str, content: str) -> Path:
+    def write(self, name: str, chunks) -> Path:
+        """Stream the text chunks into directory/name.
+
+        The path is recorded before the file is opened, so cleanup() also
+        removes a file whose chunks raised midway.
+        """
         path = self.directory / name
-        path.write_text(content)
         self.written.append(path)
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
         return path
 
     def cleanup(self):
@@ -448,20 +467,19 @@ def _solve_modes(parsed: ParsedInput, unit_mode: str) -> nm.NormalModeResult:
     return nm.solve(g, parsed.force_field, b=b, masses=masses, unit_mode=mode)
 
 
-def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec) -> str:
+def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
+    """modes.xyz as text chunks, two per animation frame."""
     atom_lines = "".join(
         atom.label.replace("%", "%%") + " %.10f %.10f %.10f\n"
         for atom in molecule.atoms
     )
-    chunks = []
     for i in range(result.nmodes):
         mode_vec = result.cart_displacements[:, i]
         geoms = nm.mode_animation(molecule, mode_vec, job.amplitude, job.frames)
         freq = result.frequencies_cm[i]
         for t, coords in enumerate(geoms.reshape(len(geoms), -1).tolist()):
-            chunks.append(f"{molecule.natoms}\nmode={i} freq={freq:.6f} frame={t}\n")
-            chunks.append(atom_lines % tuple(coords))
-    return "".join(chunks)
+            yield f"{molecule.natoms}\nmode={i} freq={freq:.6f} frame={t}\n"
+            yield atom_lines % tuple(coords)
 
 
 def _levels_text(spec: ro.RotorSpec, levels) -> str:
@@ -478,13 +496,13 @@ def _levels_text(spec: ro.RotorSpec, levels) -> str:
     return header + "%5d  %6s  %5d %14.6f  %10d\n" * len(levels) % tuple(values)
 
 
-def _trajectory_csv(times, states) -> str:
+def _trajectory_csv(times, states):
+    """trajectory.csv as text chunks: the header, then one row per sample."""
     n = states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-    rows = [header]
-    for t, x in zip(times, states):
-        rows.append(",".join([f"{t:.12e}"] + [f"{v:.12e}" for v in x]))
-    return "\n".join(rows) + "\n"
+    yield "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
+    row = ",".join(["%.12e"] * (n + 1)) + "\n"
+    for t, x in zip(times.tolist(), states):
+        yield row % (t, *x.tolist())
 
 
 def run(job: JobSpec) -> int:
@@ -610,9 +628,9 @@ def run(job: JobSpec) -> int:
                     for lv in levels
                 ],
             }
-            outputs.write("levels.txt", _levels_text(spec, levels))
+            outputs.write("levels.txt", [_levels_text(spec, levels)])
 
-        outputs.write("report.json", emit_json(report) + "\n")
+        outputs.write("report.json", [emit_json(report) + "\n"])
         return 0
     except (ParseError, ValidationError, OSError) as exc:
         outputs.cleanup()

@@ -1,9 +1,12 @@
 """Classical harmonic dynamics: closed-form trajectories and an RK4 oracle.
 
 The closed form expands the initial conditions over the metric-orthonormal
-eigenvectors; every coordinate then evolves as a superposition of cosines
-and sines at the normal frequencies.  Zero-frequency modes propagate as
-uniform drift, the omega -> 0 limit of the sine term.
+eigenvectors L; every coordinate then evolves as a superposition of cosines
+and sines at the normal frequencies.  The normal coordinates of all sampled
+times form one (samples x modes) table Q, with Q[t, k] = a_k cos(w_k t) +
+(bdot_k / w_k) sin(w_k t), and the trajectory is the single matrix product
+Q L^T.  Zero-frequency modes (lambda <= LAMBDA_CLAMP) propagate as uniform
+drift a_k + bdot_k t, the omega -> 0 limit of the sine term.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalmodes import NormalModeResult
+from .normalmodes import LAMBDA_CLAMP, NormalModeResult
 from .quadform import DimensionMismatch, SymMatrix
 
-ZERO_MODE_TOL = 1e-10
 ENERGY_DRIFT_LIMIT = 1e-3
 
 
@@ -67,7 +69,7 @@ def _check_system(modes: NormalModeResult, metric: SymMatrix, ic: InitialConditi
         )
     if ic.dim != n:
         raise DimensionMismatch(f"initial conditions have dim {ic.dim}, expected {n}")
-    if np.any(modes.lambdas < -ZERO_MODE_TOL):
+    if np.any(modes.lambdas < -LAMBDA_CLAMP):
         raise NegativeLambda(
             f"lambda = {modes.lambdas.min():.3e} < 0; use the RK4 oracle instead"
         )
@@ -90,27 +92,23 @@ def trajectory_closed_form(
     as a second array.
     """
     _check_system(modes, metric, ic)
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float).reshape(-1)
     xi = modes.L
     a = xi.T @ metric.entries @ ic.kappa
     bdot = xi.T @ metric.entries @ ic.beta_vel
-    out = np.zeros((times.size, ic.dim))
-    vel = np.zeros_like(out) if with_velocities else None
-    for k in range(modes.nmodes):
-        lam = modes.lambdas[k]
-        if lam <= ZERO_MODE_TOL:
-            q = a[k] + bdot[k] * times
-            qdot = np.full_like(times, bdot[k])
-        else:
-            w = np.sqrt(lam)
-            q = a[k] * np.cos(w * times) + (bdot[k] / w) * np.sin(w * times)
-            qdot = -a[k] * w * np.sin(w * times) + bdot[k] * np.cos(w * times)
-        out += np.outer(q, xi[:, k])
-        if with_velocities:
-            vel += np.outer(qdot, xi[:, k])
-    if with_velocities:
-        return out, vel
-    return out
+    drift = modes.lambdas <= LAMBDA_CLAMP
+    w = np.sqrt(np.where(drift, 1.0, modes.lambdas))  # drift columns are overwritten
+    wt = np.multiply.outer(times, w)
+    cos, sin = np.cos(wt), np.sin(wt, out=wt)
+    q = a * cos
+    q += (bdot / w) * sin
+    q[:, drift] = a[drift] + np.multiply.outer(times, bdot[drift])
+    out = q @ xi.T
+    if not with_velocities:
+        return out
+    qdot = -a * w * sin + bdot * cos
+    qdot[:, drift] = bdot[drift]
+    return out, qdot @ xi.T
 
 
 def normal_coordinate_coefficients(
@@ -124,7 +122,7 @@ def normal_coordinate_coefficients(
     _check_system(modes, g, ic)
     a = modes.L.T @ g.entries @ ic.kappa
     bdot = modes.L.T @ g.entries @ ic.beta_vel
-    if np.any(modes.lambdas <= ZERO_MODE_TOL):
+    if np.any(modes.lambdas <= LAMBDA_CLAMP):
         raise ZeroFrequencyMode(
             "B_k is undefined for a zero-frequency mode; propagate it as drift"
         )

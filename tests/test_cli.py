@@ -342,6 +342,45 @@ beta = 0.0 0.0
         assert message in err and f"line {len(lines) + 1}:" in err
         assert not out.exists()
 
+    def test_samples_bounded_by_trajectory_size(self, tmp_path):
+        # twomass has 2 coordinates; parsing allocates no trajectory
+        text = (FIXTURES / "twomass.inp").read_text()
+        limit = cli.TRAJECTORY_VALUES_MAX // 2
+        assert "samples = 101" in text
+        at = write_input(tmp_path, text.replace("samples = 101", f"samples = {limit}"))
+        assert parse_input(at).dynamics_options["samples"] == limit
+        over = write_input(
+            tmp_path, text.replace("samples = 101", f"samples = {limit + 1}"), "over.inp"
+        )
+        line = text.splitlines().index("samples = 101") + 1
+        with pytest.raises(ValidationError, match=f"line {line}: samples x 2 coordinates"):
+            parse_input(over)
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [(OSError("disk full"), 2), (cli.QuadformError("singular"), 3)],
+        ids=["oserror", "quadform-error"],
+    )
+    def test_stream_failing_midway_leaves_no_outputs(
+        self, tmp_path, monkeypatch, exc, code
+    ):
+        out = tmp_path / "out"
+        opened = []
+
+        def failing_csv(times, states):
+            yield "t,x1,x2\n"
+            yield "0,0,0\n" * 10_000  # past the write buffer
+            opened.append((out / "trajectory.csv").exists())
+            raise exc
+
+        monkeypatch.setattr(cli, "_trajectory_csv", failing_csv)
+        assert cli.main(
+            ["analyze", str(FIXTURES / "twomass.inp"), "--tasks", "modes,dynamics",
+             "--out", str(out)]
+        ) == code
+        assert opened == [True]
+        assert not any(out.iterdir())
+
     def test_watson_job_computes_inertia_derivatives_once(self, tmp_path, monkeypatch):
         calls = []
         original = wa.interaction_coefficients
@@ -462,7 +501,7 @@ class TestXyzWriter:
         parsed = parse_input(FIXTURES / fixture)
         result = cli._solve_modes(parsed, "cm")
         job = JobSpec(input_path=FIXTURES / fixture, frames=9, amplitude=0.7)
-        text = cli._xyz_frames(parsed.molecule, result, job)
+        text = "".join(cli._xyz_frames(parsed.molecule, result, job))
         assert text == xyz_per_line(parsed.molecule, result, job)
         assert text.count("\n") == result.nmodes * 9 * (parsed.molecule.natoms + 2)
 
@@ -471,7 +510,32 @@ class TestXyzWriter:
         result = SimpleNamespace(nmodes=1, frequencies_cm=np.array([1.0]),
                                  cart_displacements=np.array([[1.0], [0.0], [0.0]]))
         job = JobSpec(input_path="x.inp", frames=2)
-        assert cli._xyz_frames(mol, result, job) == xyz_per_line(mol, result, job)
+        assert "".join(cli._xyz_frames(mol, result, job)) == xyz_per_line(mol, result, job)
+
+
+def trajectory_csv_per_element(times, states):
+    """trajectory.csv formatted one float at a time."""
+    n = states.shape[1]
+    rows = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
+    for t, x in zip(times, states):
+        rows.append(",".join([f"{t:.12e}"] + [f"{v:.12e}" for v in x]))
+    return "\n".join(rows) + "\n"
+
+
+class TestTrajectoryWriter:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("samples,n", [(7, 4), (5, 1), (1, 3), (1, 1)])
+    def test_matches_per_element_writer(self, samples, n):
+        rng = np.random.default_rng(samples * 10 + n)
+        states = rng.normal(size=(samples, n)) * 10.0 ** rng.integers(-300, 300, (samples, n))
+        flat = states.reshape(-1)
+        flat[: len(self.SPECIAL)] = self.SPECIAL[: flat.size]
+        times = np.linspace(0.0, 3.5, samples)
+        times[0] = -0.0
+        text = "".join(cli._trajectory_csv(times, states))
+        assert text == trajectory_csv_per_element(times, states)
+        assert text.count("\n") == samples + 1
 
 
 def json_per_element(seq, indent):

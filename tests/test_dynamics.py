@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_spd, two_mass_system
 from vibrot import dynamics as dyn
@@ -28,6 +31,75 @@ def random_system(rng, n):
     g = SymMatrix(np.linalg.inv(metric.entries))
     res = nm.solve(g, nm.ForceField(f=f), unit_mode="natural")
     return res, metric, f
+
+
+def trajectory_per_mode(modes, metric, ic, times, with_velocities=False):
+    """The closed form accumulated one mode at a time with np.outer."""
+    times = np.asarray(times, dtype=float)
+    xi = modes.L
+    a = xi.T @ metric.entries @ ic.kappa
+    bdot = xi.T @ metric.entries @ ic.beta_vel
+    out = np.zeros((times.size, ic.dim))
+    vel = np.zeros_like(out)
+    for k in range(modes.nmodes):
+        lam = modes.lambdas[k]
+        if lam <= 1e-10:
+            q = a[k] + bdot[k] * times
+            qdot = np.full_like(times, bdot[k])
+        else:
+            w = np.sqrt(lam)
+            q = a[k] * np.cos(w * times) + (bdot[k] / w) * np.sin(w * times)
+            qdot = -a[k] * w * np.sin(w * times) + bdot[k] * np.cos(w * times)
+        out += np.outer(q, xi[:, k])
+        vel += np.outer(qdot, xi[:, k])
+    return (out, vel) if with_velocities else out
+
+
+def assert_matches_per_mode(res, metric, ic, times):
+    x, v = dyn.trajectory_closed_form(res, metric, ic, times, with_velocities=True)
+    x_ref, v_ref = trajectory_per_mode(res, metric, ic, times, with_velocities=True)
+    only_x = dyn.trajectory_closed_form(res, metric, ic, times)
+    assert np.array_equal(only_x, x)
+    assert x.shape == v.shape == (len(times), ic.dim)
+    assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
+    assert np.abs(v - v_ref).max() <= 1e-13 * np.abs(v_ref).max()
+
+
+class TestMatrixForm:
+    def test_drift_mode_matches_per_mode_loop(self, rng):
+        n = 5
+        metric = random_spd(rng, n)
+        r, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        f = SymMatrix((r * [0.0, 1.0, 2.0, 5.0, 9.0]) @ r.T)  # one zero mode
+        g = SymMatrix(np.linalg.inv(metric.entries))
+        res = nm.solve(g, nm.ForceField(f=f), unit_mode="natural")
+        assert np.sum(res.lambdas <= nm.LAMBDA_CLAMP) == 1
+        ic = InitialConditions(kappa=rng.normal(size=n), beta_vel=rng.normal(size=n))
+        assert_matches_per_mode(res, metric, ic, np.linspace(0.0, 30.0, 301))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(float, (n, n), elements=st.floats(-2.0, 2.0)),
+        st.integers(0, n),
+        # initial conditions away from the subnormals, where roundoff is absolute
+        arrays(float, (2, n), elements=st.just(0.0) | st.floats(1e-6, 1.0)
+               | st.floats(-1.0, -1e-6)),
+        st.floats(0.1, 50.0),
+        st.integers(1, 40),
+    )))
+    @example((np.eye(2), np.eye(2), 1, np.ones((2, 2)), 3.0, 5))
+    def test_random_systems_match_per_mode_loop(self, case):
+        # metric c c^T + I/2 is SPD; f = d d^T with `zeros` columns of d
+        # dropped has that many zero-frequency (drift) modes
+        c, d, zeros, ic, t_end, samples = case
+        n = len(c)
+        metric = SymMatrix(c @ c.T + 0.5 * np.eye(n))
+        f = SymMatrix(d[:, zeros:] @ d[:, zeros:].T)
+        g = SymMatrix(np.linalg.inv(metric.entries))
+        res = nm.solve(g, nm.ForceField(f=f), unit_mode="natural")
+        ic = InitialConditions(kappa=ic[0], beta_vel=ic[1])
+        assert_matches_per_mode(res, metric, ic, np.linspace(0.0, t_end, samples))
 
 
 class TestClosedForm:
