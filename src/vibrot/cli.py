@@ -16,10 +16,12 @@ The input is a single keyed text file with bracketed sections:
 Every number must be finite; nan, inf and overflowing literals are parse
 errors.
 
-Outputs: report.json (always), modes.xyz, levels.txt, trajectory.csv as
-requested by the task list.  report.json is byte-deterministic: fixed field
-order and %.12e float formatting.  modes.xyz and trajectory.csv are
-streamed to disk in chunks, not built as one string first.
+Options: --units natural|cm; --jmax N with (N + 1)^2 <= ROTOR_LEVELS_MAX
+levels, so N <= 999.  Outputs: report.json (always), modes.xyz, levels.txt,
+trajectory.csv as requested by the task list.  report.json is
+byte-deterministic: fixed field order and %.12e float formatting.
+modes.xyz, trajectory.csv and report.json's rotor level list are streamed
+to disk in chunks, not built as one string first.
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
 on failure every output file of the run is removed, also one that failed
 midway.
@@ -28,6 +30,7 @@ midway.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import math
 import sys
@@ -55,6 +58,10 @@ F_SYMMETRY_WARN = 1e-12
 # (samples x internal coordinates): 10^7 values are 80 MB per float64 array
 # and about 200 MB of trajectory.csv.
 TRAJECTORY_VALUES_MAX = 10_000_000
+# Most rotor levels, (jmax + 1)^2, that --jmax may ask for: 10^6 levels (jmax
+# <= 999) are about 145 MB of report.json and 48 MB of levels.txt.
+ROTOR_LEVELS_MAX = 1_000_000
+UNIT_MODES = ("natural", "cm")
 
 log = logging.getLogger(__name__)
 
@@ -103,12 +110,19 @@ class JobSpec:
                     f"unknown task {t!r}; choose from {', '.join(TASKS)}"
                 )
         self.tasks = tasks
+        if self.unit_mode not in UNIT_MODES:
+            raise ValidationError(f"unit mode must be one of {', '.join(UNIT_MODES)}")
         if self.frames < 2:
             raise ValidationError("frames must be at least 2")
         if not (math.isfinite(self.amplitude) and self.amplitude > 0):
             raise ValidationError("amplitude must be positive and finite")
         if self.jmax < 0:
             raise ValidationError("jmax must be non-negative")
+        if (self.jmax + 1) ** 2 > ROTOR_LEVELS_MAX:
+            raise ValidationError(
+                f"jmax {self.jmax} gives {(self.jmax + 1) ** 2} rotor levels, "
+                f"more than ROTOR_LEVELS_MAX = {ROTOR_LEVELS_MAX}"
+            )
 
 
 # -- input parsing -------------------------------------------------------------
@@ -379,8 +393,6 @@ _JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)} | {ord('"'): '\\"', ord(
 
 
 def _json_escape(s: str) -> str:
-    if s.isprintable() and '"' not in s and "\\" not in s:  # nothing to escape
-        return '"' + s + '"'
     return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
@@ -391,19 +403,10 @@ def emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for k, v in obj.items():
-            # exact int, str and finite float values inline; the rest recurse
-            t = type(v)
-            if t is int:
-                text = str(v)
-            elif t is str:
-                text = _json_escape(v)
-            elif t is float and math.isfinite(v):
-                text = "%.12e" % v
-            else:
-                text = emit_json(v, indent + 1)
-            items.append(f"{inner}{_json_escape(str(k))}: {text}")
+        items = [
+            f"{inner}{_json_escape(str(k))}: {emit_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
@@ -463,8 +466,7 @@ def _solve_modes(parsed: ParsedInput, unit_mode: str) -> nm.NormalModeResult:
     b = mo.build_b_matrix(parsed.molecule, parsed.internal_coordinates)
     masses = mo.MassMatrix.from_molecule(parsed.molecule)
     g = mo.build_g_matrix(b, masses)
-    mode = "natural" if unit_mode == "natural" else "spectroscopic"
-    return nm.solve(g, parsed.force_field, b=b, masses=masses, unit_mode=mode)
+    return nm.solve(g, parsed.force_field, b=b, masses=masses, unit_mode=unit_mode)
 
 
 def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
@@ -482,18 +484,45 @@ def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
             yield atom_lines % tuple(coords)
 
 
-def _levels_text(spec: ro.RotorSpec, levels) -> str:
+# One entry of report.json's "levels" list, as emit_json writes a level dict at
+# indent 3; parity labels are fixed ASCII and energies finite (no escaping).
+_LEVEL_JSON = (
+    '      {\n        "j": %d,\n        "parity": "%s",\n        "index": %d,\n'
+    '        "energy": %.12e,\n        "degeneracy": %d\n      }'
+)
+
+
+def _level_values(levels: ro.RotorLevels) -> tuple:
+    """(j, parity, index, energy, degeneracy) of every level, flattened."""
+    parity = [ro.PARITY_CLASSES[c] for c in levels.code.tolist()]
+    rows = zip(levels.j.tolist(), parity, levels.index.tolist(), levels.energy.tolist(),
+               (2 * levels.j + 1).tolist())
+    return tuple(itertools.chain.from_iterable(rows))
+
+
+def _levels_text(spec: ro.RotorSpec, level_values: tuple) -> str:
     header = (
         f"# rotor: A={spec.a_const:.6f} B={spec.b_const:.6f} C={spec.c_const:.6f} "
         f"({spec.classification})\n"
         "#   J  parity  index        E(cm-1)  degeneracy\n"
     )
-    values = [
-        x
-        for lv in levels
-        for x in (lv.j, lv.parity_class, lv.index, lv.energy, lv.degeneracy)
-    ]
-    return header + "%5d  %6s  %5d %14.6f  %10d\n" * len(levels) % tuple(values)
+    return header + "%5d  %6s  %5d %14.6f  %10d\n" * (len(level_values) // 5) % level_values
+
+
+def _report_json(report: dict, level_values):
+    """report.json as text chunks.
+
+    emit_json writes the report; a rotor level list, the last entry of the
+    last section, follows one J at a time and is never held as one string."""
+    text = emit_json(report)
+    if level_values is None:
+        yield text + "\n"
+        return
+    yield text[: -len("\n  }\n}")] + ',\n    "levels": [\n'
+    for j in range(math.isqrt(len(level_values) // 5)):  # J has 2J + 1 levels
+        values = level_values[5 * j * j : 5 * (j + 1) ** 2]
+        yield (",\n" if j else "") + ",\n".join([_LEVEL_JSON] * (2 * j + 1)) % values
+    yield "\n    ]\n  }\n}\n"
 
 
 def _trajectory_csv(times, states):
@@ -517,6 +546,7 @@ def run(job: JobSpec) -> int:
             "unit_mode": job.unit_mode,
         }
 
+        level_values = None
         needs_modes = any(
             t in job.tasks for t in ("modes", "dynamics", "watson-diagnostics")
         )
@@ -580,7 +610,6 @@ def run(job: JobSpec) -> int:
             cd = wa.coriolis_data(parsed.molecule, result.l)
             sr = wa.sum_rule_residuals(cd, parsed.molecule, result.l)
             ie = wa.inertia_expansion(parsed.molecule, result.l, cd.a_coeff)
-            unit = "natural" if job.unit_mode == "natural" else "cm"
             nvib = cd.n_modes
             report["watson"] = {
                 "zeta": [
@@ -595,7 +624,7 @@ def run(job: JobSpec) -> int:
                     "rule3": sr.rule3,
                 },
                 "inertia_tensor": [list(row) for row in ie.i0],
-                "watson_u0": wa.watson_u(ie, np.zeros(nvib), unit),
+                "watson_u0": wa.watson_u(ie, np.zeros(nvib), job.unit_mode),
             }
 
         if "rotor" in job.tasks:
@@ -608,29 +637,15 @@ def run(job: JobSpec) -> int:
                     raise ValidationError(
                         "no [rotor] section and the molecular inertia is degenerate"
                     )
-            levels = ro.asymmetric_levels(spec, job.jmax)
             report["rotor"] = {
-                "constants": {
-                    "a": spec.a_const,
-                    "b": spec.b_const,
-                    "c": spec.c_const,
-                },
+                "constants": {"a": spec.a_const, "b": spec.b_const, "c": spec.c_const},
                 "classification": spec.classification,
                 "jmax": job.jmax,
-                "levels": [
-                    {
-                        "j": lv.j,
-                        "parity": lv.parity_class,
-                        "index": lv.index,
-                        "energy": lv.energy,
-                        "degeneracy": lv.degeneracy,
-                    }
-                    for lv in levels
-                ],
             }
-            outputs.write("levels.txt", [_levels_text(spec, levels)])
+            level_values = _level_values(ro.asymmetric_levels(spec, job.jmax))
+            outputs.write("levels.txt", [_levels_text(spec, level_values)])
 
-        outputs.write("report.json", [emit_json(report) + "\n"])
+        outputs.write("report.json", _report_json(report, level_values))
         return 0
     except (ParseError, ValidationError, OSError) as exc:
         outputs.cleanup()
@@ -665,7 +680,7 @@ def main(argv=None) -> int:
     )
     analyze.add_argument("--out", default=".", help="output directory")
     analyze.add_argument(
-        "--units", default="cm", choices=("natural", "cm"), help="frequency units"
+        "--units", default="cm", choices=UNIT_MODES, help="frequency units"
     )
     analyze.add_argument("--jmax", type=int, default=5, help="highest rotor J")
     analyze.add_argument(

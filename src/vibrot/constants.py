@@ -13,8 +13,6 @@ PLANCK_H = 6.62607015e-34          # J s (exact)
 SPEED_OF_LIGHT_CM = 2.99792458e10  # cm / s (exact)
 ATOMIC_MASS_KG = 1.66053906660e-27  # kg
 
-HBAR = PLANCK_H / (2.0 * math.pi)  # J s
-
 # B [cm^-1] = ROTATIONAL_CM / I [amu Angstrom^2], i.e. h / (8 pi^2 c I).
 ROTATIONAL_CM = PLANCK_H / (
     8.0 * math.pi**2 * SPEED_OF_LIGHT_CM * ATOMIC_MASS_KG * 1.0e-20

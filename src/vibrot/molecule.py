@@ -205,10 +205,6 @@ class BMatrix:
     def ncart(self) -> int:
         return self.rows.shape[1]
 
-    def internal_rows(self) -> np.ndarray:
-        mask = [k == "internal" for k in self.kinds]
-        return self.rows[mask]
-
 
 @dataclass(frozen=True, eq=False)
 class MassMatrix:

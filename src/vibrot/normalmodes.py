@@ -81,10 +81,10 @@ class NormalModeResult:
         return self.lambdas.size
 
 
-def frequencies_cm(lambdas, unit_mode: str = "spectroscopic") -> np.ndarray:
+def frequencies_cm(lambdas, unit_mode: str = "cm") -> np.ndarray:
     """Harmonic frequencies from eigenvalues of the GF problem.
 
-    natural: sqrt(lambda) as-is.  spectroscopic: wavenumbers for lambdas in
+    natural: sqrt(lambda) as-is.  cm: wavenumbers (cm^-1) for lambdas in
     aJ Angstrom^-2 amu^-1.  Eigenvalues with |lambda| < LAMBDA_CLAMP are
     numerical noise and clamp to zero; any more negative eigenvalue marks a
     saddle point and comes back as a negative wavenumber.
@@ -93,7 +93,7 @@ def frequencies_cm(lambdas, unit_mode: str = "spectroscopic") -> np.ndarray:
     lam[np.abs(lam) < LAMBDA_CLAMP] = 0.0
     if unit_mode == "natural":
         factor = 1.0
-    elif unit_mode in ("spectroscopic", "cm"):
+    elif unit_mode == "cm":
         factor = constants.WAVENUMBER_CM
     else:
         raise ValueError(f"unknown unit mode {unit_mode!r}")
@@ -106,7 +106,7 @@ def solve(
     *,
     b: Optional[BMatrix] = None,
     masses: Optional[MassMatrix] = None,
-    unit_mode: str = "spectroscopic",
+    unit_mode: str = "cm",
 ) -> NormalModeResult:
     """Solve the vibrational problem for kinetic matrix G and force field F.
 

@@ -1,9 +1,8 @@
 """Symmetric quadratic-form machinery.
 
-Fractional matrix powers, positive-definiteness tests, Gram-Schmidt in an
-arbitrary positive-definite metric, and the simultaneous diagonalization
-of two quadratic forms (the generic operation behind every normal-mode
-solve in this package).
+Fractional matrix powers, positive-definiteness tests and the simultaneous
+diagonalization of two quadratic forms (the generic operation behind every
+normal-mode solve in this package).
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ class NegativeEigenvalueNonIntegerPower(QuadformError):
 
 class SingularNonPositivePower(QuadformError):
     """Non-positive power requested for a singular matrix."""
-
-
-class DependentInput(QuadformError):
-    """Gram-Schmidt received linearly dependent vectors."""
 
 
 class NotPositiveDefinite(QuadformError):
@@ -150,29 +145,6 @@ def is_positive_definite(a: SymMatrix) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def gram_schmidt_metric(vectors, metric: SymMatrix) -> list:
-    """Orthonormalize `vectors` in the inner product (u, metric v).
-
-    The span is preserved; the output satisfies v_i^T metric v_j = delta_ij.
-    """
-    m = metric.entries
-    out = []
-    for v in vectors:
-        v = np.array(v, dtype=float)
-        if v.shape != (metric.dim,):
-            raise DimensionMismatch(
-                f"vector of length {v.size} incompatible with metric dim {metric.dim}"
-            )
-        original_norm = np.sqrt(v @ m @ v)
-        for u in out:
-            v = v - (u @ m @ v) * u
-        norm = np.sqrt(v @ m @ v)
-        if norm < 1e-10 * max(original_norm, 1e-300):
-            raise DependentInput("vector lies in the span of its predecessors")
-        out.append(v / norm)
-    return out
 
 
 def _group_degenerate(lambdas: np.ndarray) -> list:

@@ -6,7 +6,9 @@ quantizes the spectrum.  Asymmetric tops are solved in the symmetric-top
 |J,k> basis, where H couples k only to k +- 2: each of the Wang parity
 blocks E+/E-/O+/O- of a J manifold is tridiagonal, so the blocks are built
 straight from the two diagonals of H, and the levels are their eigenvalues
-(eigvalsh; no eigenvectors).  Symmetric-top wavefunctions use Wigner's d in
+(eigvalsh; no eigenvectors), returned as `RotorLevels`: arrays of J,
+parity-class code, in-block index and energy (degeneracy 2J+1) that index
+as `RotorLevel` views.  Symmetric-top wavefunctions use Wigner's d in
 Jacobi-polynomial form.  All energies are in the units of the rotational
 constants (cm^-1 by convention); hbar is absorbed into them.
 """
@@ -23,6 +25,9 @@ import numpy as np
 from .frames import EulerAngles
 
 CLASSIFY_RTOL = 1e-9
+# Wang parity classes in block order; RotorLevels.code indexes this tuple,
+# and the codes sort like the labels ("E+" < "E-" < "O+" < "O-" in ASCII).
+PARITY_CLASSES = ("E+", "E-", "O+", "O-")
 
 
 class RotorError(ValueError):
@@ -57,15 +62,6 @@ class RotorSpec:
     b_const: float
     c_const: float
     classification: str
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.classification in (
-            "prolate-symmetric",
-            "oblate-symmetric",
-            "spherical",
-            "linear",
-        )
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,28 @@ class RotorLevel:
     index: int       # position within the ascending spectrum of its block
     energy: float
     degeneracy: int  # 2J+1 m-replicas
+
+
+@dataclass(frozen=True, eq=False)
+class RotorLevels:
+    """Rotor levels as parallel arrays, grouped by ascending J.
+
+    Level i is RotorLevel(j[i], PARITY_CLASSES[code[i]], index[i], energy[i],
+    2 j[i] + 1); indexing and iteration give these views.
+    """
+
+    j: np.ndarray
+    code: np.ndarray
+    index: np.ndarray
+    energy: np.ndarray
+
+    def __len__(self) -> int:
+        return self.energy.size
+
+    def __getitem__(self, i) -> RotorLevel:
+        j = int(self.j[i])
+        cls = PARITY_CLASSES[self.code[i]]
+        return RotorLevel(j, cls, int(self.index[i]), float(self.energy[i]), 2 * j + 1)
 
 
 def classify(a: float, b: float, c: float) -> RotorSpec:
@@ -339,7 +357,7 @@ def _parity_blocks(d: np.ndarray, o: np.ndarray, j: int) -> list:
     is d_1 +- H[1,-1].  Returns (parity class, |k| values, matrix) per block.
     """
     blocks = []
-    for cls, start in (("E+", 0), ("E-", 2), ("O+", 1), ("O-", 1)):
+    for cls, start in zip(PARITY_CLASSES, (0, 2, 1, 1)):
         ks = np.arange(start, j + 1, 2)
         h = np.diag(d[ks + j])
         rows = np.arange(ks.size - 1)
@@ -380,33 +398,34 @@ def wang_blocks(h: np.ndarray, j: int) -> list:
     return blocks
 
 
-def asymmetric_levels(spec: RotorSpec, j_max: int) -> list:
+def asymmetric_levels(spec: RotorSpec, j_max: int) -> RotorLevels:
     """All rotor levels up to j_max, each with its 2J+1 m-degeneracy.
 
     Each J's Wang blocks are built straight from the band of H and only
-    their eigenvalues are computed.  Within one J the block eigenvalues are
-    merged in ascending order; labels keep the parity class and the level's
-    index inside its block.  Raises NonFiniteLevels when the band of H or a
-    level is not finite.
+    their eigenvalues are computed.  The levels are ordered by J, then
+    energy, then parity class, then index inside the block.  Raises
+    NonFiniteLevels when the band of H or a level is not finite.
     """
     if j_max < 0:
         raise InvalidQuantumNumbers(f"j_max = {j_max} < 0")
-    levels = []
+    energies = []  # block b of J at entry 4 J + b
     for j in range(j_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             d, o = _band(spec, j)
             blocks = _parity_blocks(d, o, j)
         if not (np.isfinite(d).all() and np.isfinite(o).all()):
             raise NonFiniteLevels(f"rotor Hamiltonian for J = {j} is not finite")
-        entries = []
-        for cls, _, sub in blocks:
-            vals = np.linalg.eigvalsh(sub)
-            if not np.isfinite(vals).all():
+        for _, _, sub in blocks:
+            energies.append(np.linalg.eigvalsh(sub))
+            if not np.isfinite(energies[-1]).all():
                 raise NonFiniteLevels(f"rotor levels for J = {j} are not finite")
-            entries.extend((e, cls, idx) for idx, e in enumerate(vals.tolist()))
-        entries.sort()
-        levels.extend(RotorLevel(j, cls, idx, e, 2 * j + 1) for e, cls, idx in entries)
-    return levels
+    sizes = [v.size for v in energies]
+    j = np.repeat(np.arange(j_max + 1).repeat(len(PARITY_CLASSES)), sizes)
+    code = np.repeat(np.tile(np.arange(len(PARITY_CLASSES), dtype=np.int8), j_max + 1), sizes)
+    index = np.concatenate([np.arange(n) for n in sizes])
+    energy = np.concatenate(energies)
+    order = np.lexsort((index, code, energy, j))
+    return RotorLevels(j[order], code[order], index[order], energy[order])
 
 
 def rotor_spec_from_inertia(constants_abc) -> Optional[RotorSpec]:

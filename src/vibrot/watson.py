@@ -243,7 +243,7 @@ def watson_u(ie: InertiaExpansion, q, unit_mode: str = "cm") -> float:
     trace_mu = float(np.trace(ie.mu(q)))
     if unit_mode == "natural":
         return -trace_mu / 8.0
-    if unit_mode in ("cm", "spectroscopic"):
+    if unit_mode == "cm":
         # hbar^2 / (8 h c) = (1/4) h / (8 pi^2 c)
         return -(constants.ROTATIONAL_CM / 4.0) * trace_mu
     raise ValueError(f"unknown unit mode {unit_mode!r}")

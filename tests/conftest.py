@@ -1,10 +1,13 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vibrot import molecule as mo
 from vibrot import normalmodes as nm
+from vibrot import rotor as ro
 from vibrot.quadform import SymMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -50,15 +53,56 @@ def water_pipeline():
     b = mo.build_b_matrix(mol, ics)
     masses = mo.MassMatrix.from_molecule(mol)
     g = mo.build_g_matrix(b, masses)
-    f = nm.ForceField(
-        f=SymMatrix(
-            [[8.45, -0.10, 0.25], [-0.10, 8.45, 0.25], [0.25, 0.25, 0.70]]
-        )
-    )
-    result = nm.solve(g, f, b=b, masses=masses)
+    result = nm.solve(g, WATER_F, b=b, masses=masses)
     return mol, b, masses, g, result
+
+
+WATER_F = nm.ForceField(
+    f=SymMatrix([[8.45, -0.10, 0.25], [-0.10, 8.45, 0.25], [0.25, 0.25, 0.70]])
+)
+# Masses (amu) of the water fixture's isotopologues: 16O or 18O, each H or D.
+water_isotopologue = st.tuples(
+    st.sampled_from((15.999, 17.999)),
+    st.sampled_from((1.008, 2.014)),
+    st.sampled_from((1.008, 2.014)),
+)
+
+
+def bent_triatomic(masses, r1, r2, theta, tilt=0.0):
+    """Water-like molecule in the yz-plane (x out of plane): atom 0 bonded to
+    atoms 1 and 2 at r1 and r2 Angstrom with the angle theta (rad) between
+    them, turned by tilt (rad) about x.  Returns (mol, g, result) of the GF
+    solve with the water force field."""
+    h = 0.5 * theta
+    pos = np.array([[0.0, 0.0, 0.0],
+                    [0.0, r1 * math.sin(h), -r1 * math.cos(h)],
+                    [0.0, -r2 * math.sin(h), -r2 * math.cos(h)]])
+    c, s = math.cos(tilt), math.sin(tilt)
+    pos = pos @ np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+    mol = mo.Molecule.from_lists(["O", "H", "H"], masses, pos)
+    ics = mo.InternalCoordinateSet(
+        (mo.BondStretch(0, 1), mo.BondStretch(0, 2), mo.AngleBend(1, 0, 2))
+    )
+    b = mo.build_b_matrix(mol, ics)
+    m = mo.MassMatrix.from_molecule(mol)
+    g = mo.build_g_matrix(b, m)
+    return mol, g, nm.solve(g, WATER_F, b=b, masses=m)
 
 
 @pytest.fixture(scope="session")
 def water():
     return water_pipeline()
+
+
+def levels_by_tuple_sort(spec, jmax):
+    """Rotor levels as RotorLevel objects, each J ordered by sorting
+    (energy, parity class, index) tuples: the ordering the array form keeps."""
+    levels = []
+    for j in range(jmax + 1):
+        d, o = ro._band(spec, j)
+        entries = []
+        for cls, _, sub in ro._parity_blocks(d, o, j):
+            entries.extend((e, cls, i) for i, e in enumerate(np.linalg.eigvalsh(sub).tolist()))
+        entries.sort()
+        levels.extend(ro.RotorLevel(j, cls, i, e, 2 * j + 1) for e, cls, i in entries)
+    return levels

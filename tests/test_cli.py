@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, levels_by_tuple_sort
 from vibrot import cli
 from vibrot import molecule as mo
 from vibrot import rotor as ro
@@ -239,6 +240,25 @@ class TestRun:
         with pytest.raises(ValidationError):
             JobSpec(input_path="x", tasks=("modesx",))
         assert cli.main(["analyze", "input", "--tasks", "modesx"]) == 2
+
+    def test_unknown_unit_mode_is_usage_error(self):
+        with pytest.raises(ValidationError, match="unit mode must be one of natural, cm"):
+            JobSpec(input_path="x", unit_mode="spectroscopic")
+
+    def test_jmax_bounded_by_level_count(self, tmp_path, capsys):
+        # (jmax + 1)^2 levels: 999 is the largest jmax within ROTOR_LEVELS_MAX.
+        # No job runs: the bound is checked before the input is read.
+        assert cli.ROTOR_LEVELS_MAX == 1000**2
+        JobSpec(input_path="x", tasks=("rotor",), jmax=999)
+        with pytest.raises(ValidationError, match="ROTOR_LEVELS_MAX = 1000000"):
+            JobSpec(input_path="x", tasks=("rotor",), jmax=1000)
+        absent = str(tmp_path / "absent.inp")
+        for jmax, message in (("999", "cannot read"), ("1000", "1002001 rotor levels")):
+            code = cli.main(["analyze", absent, "--tasks", "rotor", "--jmax", jmax,
+                             "--out", str(tmp_path)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_file_exit_2(self, tmp_path):
         job = JobSpec(input_path=tmp_path / "absent.inp", tasks=("modes",),
@@ -653,27 +673,40 @@ def assert_same_text(got, want):
         pytest.fail(f"texts differ, first at line {first}")
 
 
+def level_dict(lv):
+    return {"j": lv.j, "parity": lv.parity_class, "index": lv.index,
+            "energy": lv.energy, "degeneracy": lv.degeneracy}
+
+
 class TestRotorWriters:
     ODD = 'q"\\\x01\x1f\x7f é%s'  # quote, backslash, control, DEL, non-ASCII, %
 
-    def rotor_output(self):
-        spec = ro.classify(27.88, 14.51, 9.28)
-        levels = ro.asymmetric_levels(spec, 40) + [
+    ROTORS = {
+        "asymmetric": (27.88, 14.51, 9.28),
+        "prolate": (6.4, 1.9, 1.9),
+        "oblate": (3.1, 3.1, 1.2),
+        "spherical": (2.5, 2.5, 2.5),  # every level of a J ties: checks the tie order
+    }
+
+    def odd_levels(self):
+        """Levels no rotor produces: an escaped label and non-finite energies."""
+        return [
             ro.RotorLevel(41, self.ODD, 0, -0.0, 83),
             ro.RotorLevel(41, "E+", 1, math.inf, 83),
             ro.RotorLevel(41, "O-", 2, math.nan, 83),
         ]
+
+    def rotor_output(self):
+        """A rotor report whose odd levels take emit_json's generic path."""
+        spec = ro.classify(27.88, 14.51, 9.28)
+        levels = list(ro.asymmetric_levels(spec, 40)) + self.odd_levels()
         report = {
             "input": self.ODD,
             "rotor": {
                 "constants": {"a": spec.a_const, "b": np.float64(spec.b_const), "c": 1e-300},
                 "classification": spec.classification,
                 "jmax": 40,
-                "levels": [
-                    {"j": lv.j, "parity": lv.parity_class, "index": lv.index,
-                     "energy": lv.energy, "degeneracy": lv.degeneracy}
-                    for lv in levels
-                ],
+                "levels": [level_dict(lv) for lv in levels],
             },
             self.ODD: {self.ODD: [1.0, self.ODD], "flag": True, "none": None,
                        "big": 10**30, "n": np.int64(-3), "e": {}, "l": []},
@@ -689,7 +722,35 @@ class TestRotorWriters:
 
     def test_levels_text_matches_per_line_writer(self):
         spec, levels, _ = self.rotor_output()
-        assert_same_text(cli._levels_text(spec, levels), levels_text_per_line(spec, levels))
+        odd = tuple(x for lv in self.odd_levels() for x in dataclasses.astuple(lv))
+        values = cli._level_values(ro.asymmetric_levels(spec, 40)) + odd
+        assert_same_text(cli._levels_text(spec, values), levels_text_per_line(spec, levels))
+
+    @pytest.mark.parametrize("abc", ROTORS.values(), ids=ROTORS)
+    def test_rotor_files_match_per_level_writers(self, tmp_path, abc):
+        path = write_input(tmp_path, MINIMAL + "[rotor]\na = %r\nb = %r\nc = %r\n" % abc)
+        code = cli.main(["analyze", str(path), "--tasks", "rotor", "--jmax", "40",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        spec = ro.classify(*abc)
+        levels = levels_by_tuple_sort(spec, 40)
+        if spec.classification == "spherical":
+            assert all(len({lv.energy for lv in levels if lv.j == j}) == 1 for j in range(41))
+        report = {
+            "input": path.name,
+            "tasks": ["rotor"],
+            "unit_mode": "cm",
+            "rotor": {
+                "constants": {"a": spec.a_const, "b": spec.b_const, "c": spec.c_const},
+                "classification": spec.classification,
+                "jmax": 40,
+                "levels": [level_dict(lv) for lv in levels],
+            },
+        }
+        assert_same_text((tmp_path / "report.json").read_text(),
+                         emit_json_per_element(report) + "\n")
+        assert_same_text((tmp_path / "levels.txt").read_text(),
+                         levels_text_per_line(spec, levels))
 
     def test_escape_matches_per_char_loop(self):
         for s in ("", "plain", 'say "hi"', "a\\b", "tab\t", self.ODD,

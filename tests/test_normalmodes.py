@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_spd, two_mass_system, water_molecule, water_pipeline
+from conftest import (
+    bent_triatomic,
+    random_spd,
+    two_mass_system,
+    water_molecule,
+    water_pipeline,
+    water_isotopologue,
+)
 from vibrot import molecule as mo
 from vibrot import normalmodes as nm
 from vibrot.frames import EulerAngles, rotation_zyz
@@ -229,6 +236,35 @@ class TestSolveProperties:
         assert np.abs(b.rows @ res.cart_displacements - res.L).max() < 1e-12 * scale
 
 
+class TestTellerRedlich:
+    # Teller-Redlich product rule (Wilson, Decius & Cross, Molecular
+    # Vibrations, 1955, sec. 8-5).  Isotopic substitution leaves F unchanged,
+    # so prod(lambda'/lambda) = det(G'F) / det(GF) = det G' / det G; over all
+    # 3N - 6 modes of a nonlinear molecule it also equals
+    # prod_a (m_a/m'_a)^3 (M'/M)^3 (I'_a I'_b I'_c) / (I_a I_b I_c).
+    @settings(max_examples=40, deadline=None)
+    @given(
+        water_isotopologue,
+        water_isotopologue,
+        st.floats(0.8, 1.2),
+        st.floats(0.8, 1.2),
+        st.floats(math.radians(80.0), math.radians(140.0)),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_product_rule_for_water_isotopologues(self, masses, masses2, r1, r2, theta, tilt):
+        mol, g, res = bent_triatomic(masses, r1, r2, theta, tilt)
+        mol2, g2, res2 = bent_triatomic(masses2, r1, r2, theta, tilt)
+        ratio = np.prod(res2.lambdas / res.lambdas)
+        assert ratio == pytest.approx(np.linalg.det(g2.entries) / np.linalg.det(g.entries),
+                                      rel=1e-10)
+        m, m2 = np.array(masses), np.array(masses2)
+        moments = mo.inertia(mol).principal_moments
+        moments2 = mo.inertia(mol2).principal_moments
+        cartesian = (np.prod((m / m2) ** 3) * (m2.sum() / m.sum()) ** 3
+                     * np.prod(moments2) / np.prod(moments))
+        assert ratio == pytest.approx(cartesian, rel=1e-10)
+
+
 class TestFrequencies:
     def test_zero_and_unit(self):
         out = nm.frequencies_cm([0.0, 1.0], unit_mode="natural")
@@ -240,7 +276,7 @@ class TestFrequencies:
         amu = 1.66053906660e-27
         omega = math.sqrt(aj / (amu * 1e-20))
         expected = omega / (2 * math.pi * 2.99792458e10)
-        got = nm.frequencies_cm([1.0], unit_mode="spectroscopic")[0]
+        got = nm.frequencies_cm([1.0], unit_mode="cm")[0]
         assert got == pytest.approx(expected, rel=1e-6)
         assert got == pytest.approx(1302.79, rel=1e-4)
 
@@ -253,8 +289,12 @@ class TestFrequencies:
         assert out[0] == pytest.approx(-2.0)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            nm.frequencies_cm([1.0], unit_mode="parsecs")
+        g, ff = two_mass_system()
+        for mode in ("parsecs", "spectroscopic"):  # the units are "natural" and "cm"
+            with pytest.raises(ValueError):
+                nm.frequencies_cm([1.0], unit_mode=mode)
+            with pytest.raises(ValueError):
+                nm.solve(g, ff, unit_mode=mode)
 
 
 class TestModeAnimation:

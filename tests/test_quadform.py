@@ -4,7 +4,6 @@ import pytest
 from conftest import random_spd, two_mass_system
 from vibrot import quadform as qf
 from vibrot.quadform import (
-    DependentInput,
     DimensionMismatch,
     NegativeEigenvalueNonIntegerPower,
     NotPositiveDefinite,
@@ -93,45 +92,6 @@ class TestPositiveDefinite:
     def test_random_spd(self, rng):
         for _ in range(10):
             assert qf.is_positive_definite(random_spd(rng, 5))
-
-
-class TestGramSchmidtMetric:
-    def test_euclidean_identity_case(self):
-        out = qf.gram_schmidt_metric(
-            [np.array([1.0, 0.0]), np.array([0.0, 1.0])], SymMatrix.identity(2)
-        )
-        np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(out[1], [0.0, 1.0], atol=1e-14)
-
-    @pytest.mark.parametrize("m", [1.0, 2.5, 16.0])
-    def test_weighted_first_vector(self, m):
-        # hand Gram-Schmidt: |(1,1)|_metric = sqrt(2 m)
-        out = qf.gram_schmidt_metric(
-            [np.array([1.0, 1.0]), np.array([1.0, 0.0])],
-            SymMatrix.diagonal([m, m]),
-        )
-        np.testing.assert_allclose(out[0], np.array([1.0, 1.0]) / np.sqrt(2 * m),
-                                   rtol=1e-12)
-
-    def test_metric_orthonormality_property(self, rng):
-        metric = random_spd(rng, 4)
-        vectors = [rng.normal(size=4) for _ in range(3)]
-        out = qf.gram_schmidt_metric(vectors, metric)
-        gram = np.array([[u @ metric.entries @ v for v in out] for u in out])
-        assert np.abs(gram - np.eye(3)).max() < 1e-10
-
-    def test_span_preserved(self, rng):
-        metric = random_spd(rng, 3)
-        vectors = [rng.normal(size=3) for _ in range(2)]
-        out = qf.gram_schmidt_metric(vectors, metric)
-        before = np.linalg.matrix_rank(np.column_stack(vectors + out))
-        assert before == 2
-
-    def test_dependent_input(self):
-        with pytest.raises(DependentInput):
-            qf.gram_schmidt_metric(
-                [np.array([1.0, 0.0]), np.array([2.0, 0.0])], SymMatrix.identity(2)
-            )
 
 
 class TestSimultaneousDiagonalize:

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from conftest import levels_by_tuple_sort
 from vibrot import rotor
 from vibrot.frames import EulerAngles
 from vibrot.rotor import (
+    PARITY_CLASSES,
     InvalidQuantumNumbers,
     NegativeNmax,
     NonFiniteLevels,
     NonPositiveConstant,
     NotSymmetricTop,
+    RotorLevel,
     SymTopState,
     asymmetric_hamiltonian,
     asymmetric_levels,
@@ -549,6 +552,27 @@ class TestAsymmetricLevels:
             monkeypatch.setattr(rotor, name, forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         assert len(asymmetric_levels(classify(3.7, 2.2, 0.9), 8)) == 81
+
+    @pytest.mark.parametrize("abc", [(3.7, 2.2, 0.9), (2.5, 2.5, 2.5)])
+    def test_sequence_view_matches_arrays(self, abc):
+        spec = classify(*abc)
+        levels = asymmetric_levels(spec, 8)
+        js = np.arange(9)
+        assert np.array_equal(levels.j, np.repeat(js, 2 * js + 1))
+        assert len(levels) == levels.energy.size == levels.code.size == levels.index.size == 81
+        views = list(levels)
+        assert len(views) == 81
+        for i, lv in enumerate(views):
+            j = int(levels.j[i])
+            want = RotorLevel(j, PARITY_CLASSES[levels.code[i]], int(levels.index[i]),
+                              float(levels.energy[i]), 2 * j + 1)
+            assert lv == want and levels[i] == want
+            assert [type(v) for v in (lv.j, lv.parity_class, lv.index, lv.energy)] == [
+                int, str, int, float]
+        assert levels[-1] == views[-1]
+        with pytest.raises(IndexError):
+            levels[81]
+        assert views == levels_by_tuple_sort(spec, 8)
 
     def test_levels_monotone_in_a(self):
         b, c = 2.0, 1.0

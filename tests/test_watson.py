@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, water_molecule
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES, bent_triatomic, water_isotopologue, water_molecule
 from vibrot import cli, constants
 from vibrot import molecule as mo
 from vibrot import normalmodes as nm
@@ -307,6 +310,28 @@ class TestInertiaExpansion:
             ie.mu(np.array([1.0]))  # I'' = (1 - 1) eye = 0
 
 
+class TestPlanarRelations:
+    # A planar molecule in the yz-plane whose modes all stay in the plane (a
+    # bent triatomic): l has no x components, so the only nonzero Coriolis
+    # constants are zeta^x, and the perpendicular-axis theorem
+    # I_xx = I_yy + I_zz holds along every mode, a_k^xx = a_k^yy + a_k^zz.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        water_isotopologue,
+        st.floats(0.8, 1.2),
+        st.floats(0.8, 1.2),
+        st.floats(math.radians(80.0), math.radians(140.0)),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_planar_zeta_and_inertia_derivatives(self, masses, r1, r2, theta, tilt):
+        mol, _, res = bent_triatomic(masses, r1, r2, theta, tilt)
+        cd = coriolis_data(mol, res.l)
+        a = cd.a_coeff
+        assert np.abs(a[:, 0, 0] - a[:, 1, 1] - a[:, 2, 2]).max() <= 1e-13 * np.abs(a).max()
+        assert np.abs(cd.zeta[1:]).max() <= 1e-13
+        assert np.abs(cd.zeta[0]).max() > 0.1
+
+
 class TestWatsonU:
     def test_spherical_inertia(self):
         i_val = 4.0
@@ -326,6 +351,13 @@ class TestWatsonU:
         u_cm = watson_u(ie, np.zeros(3), unit_mode="cm")
         u_nat = watson_u(ie, np.zeros(3), unit_mode="natural")
         assert u_cm == pytest.approx(2.0 * constants.ROTATIONAL_CM * u_nat, rel=1e-12)
+
+    def test_unknown_mode_rejected(self, water):
+        mol, _, _, _, res = water
+        ie = inertia_expansion(mol, res.l)
+        for mode in ("parsecs", "spectroscopic"):  # the units are "natural" and "cm"
+            with pytest.raises(ValueError):
+                watson_u(ie, np.zeros(3), unit_mode=mode)
 
     def test_smooth_small_q_sweep(self, water):
         mol, _, _, _, res = water
