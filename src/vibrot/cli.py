@@ -409,10 +409,14 @@ def emit_json(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
+        if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
+            seq, finite = obj.tolist(), bool(np.isfinite(obj).all())
+        else:
+            seq = list(obj)
+            finite = all(isinstance(v, float) and math.isfinite(v) for v in seq)
         if not seq:
             return "[]"
-        if all(isinstance(v, float) and math.isfinite(v) for v in seq):
+        if finite:
             # flat list of finite floats: the same bytes as the element path below
             template = ",\n".join([inner + "%.12e"] * len(seq))
             return "[\n" + template % tuple(seq) + "\n" + pad + "]"
@@ -610,21 +614,16 @@ def run(job: JobSpec) -> int:
             cd = wa.coriolis_data(parsed.molecule, result.l)
             sr = wa.sum_rule_residuals(cd, parsed.molecule, result.l)
             ie = wa.inertia_expansion(parsed.molecule, result.l, cd.a_coeff)
-            nvib = cd.n_modes
             report["watson"] = {
-                "zeta": [
-                    [list(cd.zeta[a, k]) for k in range(nvib)] for a in range(3)
-                ],
-                "interaction_coefficients": [
-                    [list(cd.a_coeff[k, a]) for a in range(3)] for k in range(nvib)
-                ],
+                "zeta": cd.zeta,
+                "interaction_coefficients": cd.a_coeff,
                 "sum_rule_residuals": {
                     "rule1": sr.rule1,
                     "rule2": sr.rule2,
                     "rule3": sr.rule3,
                 },
-                "inertia_tensor": [list(row) for row in ie.i0],
-                "watson_u0": wa.watson_u(ie, np.zeros(nvib), job.unit_mode),
+                "inertia_tensor": ie.i0,
+                "watson_u0": wa.watson_u(ie, np.zeros(cd.n_modes), job.unit_mode),
             }
 
         if "rotor" in job.tasks:

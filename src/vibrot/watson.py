@@ -15,6 +15,9 @@ sums, which changes the last printed digits of the report.  The other
 Levi-Civita contractions run over three axes only and are written as
 direct loops.  The matching test oracles use an independent permutation-sum
 implementation.
+
+Each term of Watson's rule 1 is one (3n x 3n) BLAS product instead: its
+max-abs residual moves only at roundoff with the summation order.
 """
 
 from __future__ import annotations
@@ -269,7 +272,9 @@ def sum_rule_residuals(
     """Evaluate both sides of the Watson sum rules and report deviations.
 
     Rules 1 and 2 are exact identities for modes that satisfy the Eckart
-    conditions and drop below 1e-8 there.  Rule 3 is evaluated with the
+    conditions and drop below 1e-8 there.  Rule 1's terms are (3n x 3n)
+    products: Z Z^T (Z = zeta as 3n x n), M^T M (M = l as N x 3n, its axis
+    indices crossed) and a_k (I0)^-1 a_l.  Rule 3 is evaluated with the
     most literal reading of its (inconsistent) printed indices and can be
     large even on exact inputs.
     """
@@ -286,12 +291,17 @@ def sum_rule_residuals(
     kmat = _second_moment(shifted)
 
     # rule 1: sum_n zeta[a,k,n] zeta[b,l,n]
-    #         = d_ab d_kl - sum_i l[b,i,k] l[a,i,l] - (1/4) a_k (I0)^-1 a_l
-    lhs1 = np.einsum("akn,bln->abkl", zeta, zeta)
-    rhs1 = np.einsum("ab,kl->abkl", np.eye(3), np.eye(n))
-    rhs1 -= np.einsum("ibk,ial->abkl", shaped, shaped)
-    rhs1 -= 0.25 * np.einsum("kag,gd,ldb->abkl", a, i0_inv, a)
-    rule1 = _maxabs(lhs1 - rhs1)
+    #         = d_ab d_kl - sum_i l[b,i,k] l[a,i,l] - (1/4) a_k (I0)^-1 a_l,
+    # each term a (3n x 3n) product with rows (a, k) and columns (b, l)
+    z = zeta.reshape(3 * n, n)
+    flat = shaped.reshape(shaped.shape[0], 3 * n)
+    resid1 = (z @ z.T).reshape(3, n, 3, n)
+    # the overlap's axis indices are crossed: (a, k, b, l) sits at [b, k, a, l]
+    resid1 += (flat.T @ flat).reshape(3, n, 3, n).transpose(2, 1, 0, 3)
+    inertia = (a @ i0_inv).reshape(3 * n, 3) @ a.transpose(1, 0, 2).reshape(3, 3 * n)
+    resid1 += 0.25 * inertia.reshape(n, 3, n, 3).transpose(1, 0, 3, 2)
+    resid1.reshape(3 * n, 3 * n)[np.diag_indices(3 * n)] -= 1.0
+    rule1 = _maxabs(resid1)
 
     # rule 2: sum_k a[k,ab] a[k,gd] against the pure-geometry expression
     lhs2 = np.einsum("kab,kgd->abgd", a, a)

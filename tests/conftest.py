@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from vibrot import molecule as mo
@@ -11,6 +12,11 @@ from vibrot import rotor as ro
 from vibrot.quadform import SymMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# GF solves and Watson sums vary in cost from example to example, so no test
+# has a per-example deadline; each keeps its own max_examples.
+settings.register_profile("vibrot", deadline=None)
+settings.load_profile("vibrot")
 
 
 @pytest.fixture

@@ -591,6 +591,25 @@ class TestJsonEmitter:
         assert cli.emit_json(arr, 1) == json_per_element(list(arr), 1)
         assert cli.emit_json(arr[0]) == json_per_element(list(arr[0]), 0)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [np.array([1.0, np.nan, -0.0]),
+         np.array([np.inf, -2.5e-300]),
+         np.array([-np.inf]),
+         np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308]),
+         np.array([]),
+         np.array([0.1]),
+         np.array([[1.0, -0.0], [np.nan, 3.0]]),
+         np.arange(24.0).reshape(2, 3, 4) - 11.5,
+         np.zeros((3, 0, 0)),
+         np.array([3, -1, 0]),
+         np.array([1.5, np.inf, 0.1], dtype=np.float32),
+         [np.float64(-0.0), np.float64(0.25), np.float64(1e20)]],
+    )
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_arrays_match_per_element_emitter(self, obj, indent):
+        assert cli.emit_json(obj, indent) == emit_json_per_element(obj, indent)
+
     def test_fixed_float_format(self):
         assert cli.emit_json(1.0) == "1.000000000000e+00"
         assert cli.emit_json(float("inf")) == '"inf"'

@@ -77,7 +77,7 @@ class TestMatrixForm:
         ic = InitialConditions(kappa=rng.normal(size=n), beta_vel=rng.normal(size=n))
         assert_matches_per_mode(res, metric, ic, np.linspace(0.0, 30.0, 301))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
         arrays(float, (n, n), elements=st.floats(-2.0, 2.0)),

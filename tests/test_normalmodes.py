@@ -105,7 +105,7 @@ class TestSolve:
         h_internal = 0.5 * sdot @ g_inv @ sdot + 0.5 * s @ ff.f.entries @ s
         assert h_normal == pytest.approx(h_internal, rel=1e-9)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         arrays(float, (4, 4), elements=st.floats(-1.0, 1.0)),
         arrays(float, (4, 4), elements=st.floats(-2.0, 2.0)),
@@ -193,7 +193,7 @@ def _zigzag_chain(natoms, jitter, masses):
 
 
 class TestSolveProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         arrays(float, 3, elements=st.floats(-math.pi, math.pi)),
         arrays(float, 3, elements=st.floats(-10.0, 10.0)),
@@ -217,7 +217,7 @@ class TestSolveProperties:
         res = nm.solve(mo.build_g_matrix(b2, m2), f, b=b2, masses=m2)
         np.testing.assert_allclose(res.frequencies_cm, ref.frequencies_cm, rtol=1e-9)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(3, 7).flatmap(lambda n: st.tuples(
         arrays(float, (n, 3), elements=st.floats(-0.15, 0.15)),
         arrays(float, n, elements=st.floats(1.0, 40.0)),
@@ -242,7 +242,7 @@ class TestTellerRedlich:
     # so prod(lambda'/lambda) = det(G'F) / det(GF) = det G' / det G; over all
     # 3N - 6 modes of a nonlinear molecule it also equals
     # prod_a (m_a/m'_a)^3 (M'/M)^3 (I'_a I'_b I'_c) / (I_a I_b I_c).
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         water_isotopologue,
         water_isotopologue,

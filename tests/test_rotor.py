@@ -599,7 +599,7 @@ closeness = st.floats(0.0, 1e-2)
 
 
 class TestRotorProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.tuples(positive, positive, positive), st.integers(0, 30))
     def test_trace_rule_per_j(self, abc, jmax):
         spec = classify(*abc)
@@ -622,7 +622,7 @@ class TestRotorProperties:
             bound = 0.5 * gap * j * (j + 1) + 1e-12 * spec.a_const * (j * (j + 1) + 1)
             assert max(abs(g - w) for g, w in zip(sorted(energies), want)) <= bound
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(positive, ratio, closeness, st.integers(0, 20))
     def test_prolate_limit(self, c, r, t, jmax):
         a = c * r
@@ -633,7 +633,7 @@ class TestRotorProperties:
         assert limit.classification == "prolate-symmetric"
         self.assert_within_weyl_bound(spec, limit, spec.b_const - spec.c_const, jmax)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(positive, ratio, closeness, st.integers(0, 20))
     def test_oblate_limit(self, c, r, t, jmax):
         a = c * r

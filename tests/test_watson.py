@@ -80,8 +80,8 @@ def zeta_per_pair_cross(l):
     return zeta
 
 
-def zigzag_l(natoms, planar):
-    """l of a zigzag chain (stretches and bends), jittered in or out of plane."""
+def zigzag_chain(natoms, planar):
+    """(mol, l) of a zigzag chain (stretches and bends), jittered in or out of plane."""
     jitter = np.random.default_rng(natoms).uniform(-0.1, 0.1, (natoms, 3))
     if planar:
         jitter[:, 2] = 0.0
@@ -98,7 +98,7 @@ def zigzag_l(natoms, planar):
     res = nm.solve(
         mo.build_g_matrix(b, masses_m), nm.ForceField(f=f), b=b, masses=masses_m
     )
-    return res.l
+    return mol, res.l
 
 
 def fd_interaction(mol, l, step=1e-5):
@@ -127,6 +127,46 @@ def diatomic_pipeline(m1=1.0, m2=2.0, r0=1.2, k=1.0):
     g = mo.build_g_matrix(b, masses)
     res = nm.solve(g, nm.ForceField(f=SymMatrix([[k]])), b=b, masses=masses)
     return mol, res
+
+
+def illcond8_pipeline():
+    parsed = cli.parse_input(FIXTURES / "illcond8.inp")
+    return parsed.molecule, cli._solve_modes(parsed, "cm").l
+
+
+def rule1_einsum(cd, mol, l):
+    """Watson rule 1 from four-index einsums, term by term.
+
+    Returns (max-abs residual, largest absolute entry of any term).
+    """
+    natoms, n = mol.natoms, l.shape[1]
+    shaped = l.reshape(natoms, 3, n)
+    shifted = mo.center_of_mass_shift(mol)
+    i0 = mo._inertia_tensor(shifted.masses, shifted.positions)
+    i0_inv = np.linalg.pinv(i0, rcond=wa.SINGULAR_TOL, hermitian=True)
+    a = cd.a_coeff
+    lhs = np.einsum("akn,bln->abkl", cd.zeta, cd.zeta)
+    ident = np.einsum("ab,kl->abkl", np.eye(3), np.eye(n))
+    overlap = np.einsum("ibk,ial->abkl", shaped, shaped)
+    inertia = 0.25 * np.einsum("kag,gd,ldb->abkl", a, i0_inv, a)
+    resid = lhs - (ident - overlap - inertia)
+    terms = (lhs, overlap, inertia)
+    largest = max((np.abs(t).max() for t in terms if t.size), default=0.0)
+    return (np.abs(resid).max() if resid.size else 0.0), largest
+
+
+def eckart_complement(mol):
+    """Orthonormal mass-weighted vectors orthogonal to the three translations
+    and three rotations about the centre of mass: modes that satisfy the
+    Eckart conditions, built without the GF solve."""
+    shifted = mo.center_of_mass_shift(mol)
+    sqm = np.sqrt(shifted.masses)[:, None]
+    ext = []
+    for axis in np.eye(3):
+        ext.append((sqm * axis).ravel())
+        ext.append((sqm * np.cross(axis, shifted.positions)).ravel())
+    q, _ = np.linalg.qr(np.array(ext).T, mode="complete")
+    return q[:, 6:]
 
 
 class TestCoriolisConstants:
@@ -193,12 +233,11 @@ class TestCoriolisBitIdentity:
         assert not np.signbit(want[1, 0, 1]) and np.signbit(want[1, 1, 0])
 
     def test_ill_conditioned_fixture(self):
-        res = cli._solve_modes(cli.parse_input(FIXTURES / "illcond8.inp"), "cm")
-        self.assert_bit_identical(res.l)
+        self.assert_bit_identical(illcond8_pipeline()[1])
 
     @pytest.mark.parametrize("planar", [True, False])
     def test_zigzag_chain(self, planar):
-        l = zigzag_l(24, planar)
+        _, l = zigzag_chain(24, planar)
         assert l.shape == (72, 45)
         self.assert_bit_identical(l)
 
@@ -230,6 +269,25 @@ class TestInteractionCoefficients:
 
 
 class TestSumRules:
+    def assert_rule1_matches_einsums(self, mol, l):
+        cd = coriolis_data(mol, l)
+        sr = sum_rule_residuals(cd, mol, l)
+        want, largest = rule1_einsum(cd, mol, l)
+        assert abs(sr.rule1 - want) <= 1e-13 * (1.0 + largest)
+        return sr
+
+    def test_rule1_matches_einsums_water(self, water):
+        mol, _, _, _, res = water
+        assert self.assert_rule1_matches_einsums(mol, res.l).rule1 < 1e-8
+
+    def test_rule1_matches_einsums_illcond8(self):
+        self.assert_rule1_matches_einsums(*illcond8_pipeline())
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_rule1_matches_einsums_zigzag_chain(self, planar):
+        # 45 modes span only part of the 66 vibrations, so rule 1 is O(1) here
+        self.assert_rule1_matches_einsums(*zigzag_chain(24, planar))
+
     def test_diatomic_exact(self):
         mol, res = diatomic_pipeline()
         cd = coriolis_data(mol, res.l)
@@ -248,17 +306,37 @@ class TestSumRules:
         # negative control: orthonormal columns that ignore the Eckart frame
         mol, _, _, _, res = water
         q, _ = np.linalg.qr(rng.normal(size=(9, 3)))
-        cd = coriolis_data(mol, q)
-        sr = sum_rule_residuals(cd, mol, q)
+        sr = self.assert_rule1_matches_einsums(mol, q)
         assert sr.rule1 > 1e-4
 
     def test_single_atom_trivial(self):
         mol = Molecule.from_lists(["X"], [3.0], [[0.0, 0.0, 0.0]])
         l = np.zeros((3, 0))
-        cd = coriolis_data(mol, l)
-        sr = sum_rule_residuals(cd, mol, l)
+        sr = self.assert_rule1_matches_einsums(mol, l)
         # no modes: rule 2 compares zero against zero geometry sums
+        assert sr.rule1 == 0.0
         assert sr.rule2 == 0.0
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(4, 8),
+        st.lists(st.floats(1.0, 40.0), min_size=8, max_size=8),
+        st.lists(st.floats(-0.2, 0.2), min_size=24, max_size=24),
+    )
+    def test_rules_hold_on_perturbed_nonplanar_molecules(self, natoms, masses, shifts):
+        # a helix (nonplanar from four atoms on), each atom moved by up to 0.2
+        turn = 2.0 * math.pi * np.arange(natoms) / 3.6
+        helix = np.column_stack(
+            [1.2 * np.cos(turn), 1.2 * np.sin(turn), 0.5 * np.arange(natoms)]
+        )
+        pos = helix + np.reshape(shifts, (8, 3))[:natoms]
+        mol = Molecule.from_lists([f"X{i}" for i in range(natoms)], masses[:natoms], pos)
+        l = eckart_complement(mol)
+        sr = sum_rule_residuals(coriolis_data(mol, l), mol, l)
+        shifted = mo.center_of_mass_shift(mol)
+        r2 = float(np.sum(shifted.masses[:, None] * shifted.positions**2))
+        assert sr.rule1 <= 1e-12
+        assert sr.rule2 <= 1e-12 * 4.0 * r2
 
 
 class TestInertiaExpansion:
@@ -315,7 +393,7 @@ class TestPlanarRelations:
     # bent triatomic): l has no x components, so the only nonzero Coriolis
     # constants are zeta^x, and the perpendicular-axis theorem
     # I_xx = I_yy + I_zz holds along every mode, a_k^xx = a_k^yy + a_k^zz.
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         water_isotopologue,
         st.floats(0.8, 1.2),
