@@ -409,14 +409,10 @@ def emit_json(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
-            seq, finite = obj.tolist(), bool(np.isfinite(obj).all())
-        else:
-            seq = list(obj)
-            finite = all(isinstance(v, float) and math.isfinite(v) for v in seq)
+        seq = list(obj)
         if not seq:
             return "[]"
-        if finite:
+        if all(isinstance(v, float) and math.isfinite(v) for v in seq):
             # flat list of finite floats: the same bytes as the element path below
             template = ",\n".join([inner + "%.12e"] * len(seq))
             return "[\n" + template % tuple(seq) + "\n" + pad + "]"
