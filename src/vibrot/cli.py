@@ -17,11 +17,15 @@ Every number must be finite; nan, inf and overflowing literals are parse
 errors.
 
 Options: --units natural|cm; --jmax N with (N + 1)^2 <= ROTOR_LEVELS_MAX
-levels, so N <= 999.  Outputs: report.json (always), modes.xyz, levels.txt,
-trajectory.csv as requested by the task list.  report.json is
+levels, so N <= 999; --frames N with at most XYZ_VALUES_MAX modes.xyz values
+when the modes task runs.  Outputs: report.json (always), modes.xyz,
+levels.txt, trajectory.csv as requested by the task list.  report.json is
 byte-deterministic: fixed field order and %.12e float formatting.
 modes.xyz, trajectory.csv and report.json's rotor level list are streamed
-to disk in chunks, not built as one string first.
+to disk in chunks, not built as one string first.  The float tables of
+modes.xyz (%.10f), trajectory.csv and report.json (%.12e) come from an exact
+vectorized formatter (_format_table) that falls back to % for every value it
+cannot prove; the bytes are those of % formatting.
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
 on failure every output file of the run is removed, also one that failed
 midway.
@@ -58,6 +62,9 @@ F_SYMMETRY_WARN = 1e-12
 # (samples x internal coordinates): 10^7 values are 80 MB per float64 array
 # and about 200 MB of trajectory.csv.
 TRAJECTORY_VALUES_MAX = 10_000_000
+# Largest animation the modes task may write, counted in modes.xyz values
+# (frames x 3 atoms x modes): 10^7 values are about 150 MB of modes.xyz.
+XYZ_VALUES_MAX = 10_000_000
 # Most rotor levels, (jmax + 1)^2, that --jmax may ask for: 10^6 levels (jmax
 # <= 999) are about 145 MB of report.json and 48 MB of levels.txt.
 ROTOR_LEVELS_MAX = 1_000_000
@@ -386,6 +393,135 @@ def parse_input(path) -> ParsedInput:
     return ParsedInput(molecule, ics, force_field, rotor_spec, initial, dyn_options)
 
 
+# -- exact float formatting ----------------------------------------------------
+
+# Most values one _format_table block holds (at least one row is taken): the
+# byte buffers of a block stay at a few MB, whatever the size of the table.
+FORMAT_BLOCK_VALUES = 1 << 14
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**k < 2**53 for k <= 22
+
+
+# Formatted text is built in uint32 words, so that one store writes 4 bytes.
+# The bytes _PAD and _ROW_END never occur in UTF-8: _PAD fills the unused bytes
+# of a word and is deleted on output, _ROW_END follows the last separator of a
+# row and splits the rows.
+_PAD, _ROW_END = b"\xff", b"\xfe"
+
+
+def _words(chars) -> np.ndarray:
+    """Strings of 4 byte values as words; the value 0 stands for _PAD."""
+    chars = np.asarray(chars, np.uint8)
+    return np.frombuffer(np.where(chars == 0, _PAD[0], chars).astype(np.uint8).tobytes(), np.uint32)
+
+
+# A formatted cell is 5 words ("\0" below is _PAD).
+_N4 = np.arange(10_000)[:, None]
+_CHARS4 = _N4 // [1000, 100, 10, 1] % 10 + ord("0")
+_DIGITS4 = _words(_CHARS4)                                                  # "0042"
+_INT4 = _words(np.where(_N4 >= [1000, 100, 10, 0], _CHARS4, 0))             # "\0\042"
+_POINT2 = _words([(0, ord("."), *c[2:]) for c in _CHARS4[:100]])           # "\0.42"
+_SIGN = _words([(0, 0, 0, 0), (0, 0, 0, ord("-"))])                        # "\0\0\0-"
+_LEAD = _words([(0, s, c[3], ord(".")) for s in (0, ord("-")) for c in _CHARS4[:10]])  # "\0-4."
+_EXP = _words([list(b"e%+03d" % e) for e in range(-32, 14)])               # "e-05"
+_PAD_WORD = _words([0, 0, 0, 0])[0]
+del _N4, _CHARS4
+
+
+def _rounded_digits(values: np.ndarray, conv: str):
+    """The decimal digits that conv ("%.12e" or "%.10f") prints for |values|.
+
+    Returns (digits, exp10, exact).  For "%.12e", digits is the 13-digit
+    mantissa as an integer and exp10 the decimal exponent; for "%.10f",
+    digits is round(|x| 10^10) and exp10 is 0.  The scaled value s = |x| 10^k
+    is one correctly rounded product with an exact 10^k (k <= 22), or two
+    (10^22, then 10^(k-22)) for the %.12e exponents down to -32, so it lies
+    within steps * spacing(s) of the exact |x| 10^k.  Where frac(s) is farther
+    than that from 1/2, round(s) equals the correctly rounded decimal that %
+    prints.  exact is False, and digits meaningless, at every other value:
+    near-ties, nan, +-inf, exponents out of range and, for "%.10f", integer
+    parts of 10^4 or more.
+    """
+    a = np.abs(values)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if conv == "%.10f":
+            exp10 = 0
+            s = a * _POW10[10]
+            steps = 1
+            exact = s < 1e14 - 0.5  # an integer part of at most 4 digits
+        else:
+            e = np.floor(np.log10(a))
+            exact = (e >= -32) & (e <= 12)
+            exp10 = np.where(exact, e, 0.0).astype(np.int64)
+            k = 12 - exp10
+            k1 = np.minimum(k, 22)
+            s = a * _POW10[k1] * _POW10[k - k1]
+            steps = 1 + (k > 22)
+            # a log10 one off puts s outside [10^12, 10^13); zero prints 0.0...e+00
+            exact = (exact & (s >= 1e12) & (s < 1e13)) | (a == 0)
+        exact &= np.abs(s - np.floor(s) - 0.5) > steps * np.spacing(s)
+        digits = np.rint(np.where(exact, s, 0.0)).astype(np.int64)
+    if conv == "%.12e":
+        carry = digits == 10**13  # 9.9999999999995 -> 1.000000000000e+01
+        digits[carry] = 10**12
+        exp10 += carry
+    return digits, exp10, exact
+
+
+def _format_table(values: np.ndarray, conv: str, seps):
+    """Row strings of a (rows, cols) float table, formatted as conv % v.
+
+    seps holds one string per column, written verbatim after each value of
+    that column.  Every row equals "".join(conv % v + sep for v, sep in
+    zip(row, seps)) for every double: cells that _rounded_digits proves are
+    built from digit tables, and only the others are formatted by conv % v.
+    Blocks of at most FORMAT_BLOCK_VALUES values are formatted at a time.
+    """
+    step = max(1, FORMAT_BLOCK_VALUES // values.shape[1])
+    sep_bytes = [s.encode() for s in seps]
+    sep_bytes[-1] += _ROW_END
+    width = -(-max(map(len, sep_bytes)) // 4) * 4
+    sep_words = np.array([s.ljust(width, _PAD) for s in sep_bytes], dtype=f"S{width}")
+    sep_words = sep_words.view(np.uint32).reshape(len(seps), -1)
+    for start in range(0, len(values), step):
+        yield from _format_block(values[start : start + step], conv, sep_words)
+
+
+def _format_block(values, conv, sep_words):
+    """_format_table's row strings of one block."""
+    rows, cols = values.shape
+    flat = values.reshape(-1)
+    digits, exp10, exact = _rounded_digits(flat, conv)
+    negative = np.signbit(flat)
+    if conv == "%.10f":  # "\0\0\0-" "\0\042" "\0.12" "3456" "7890"
+        ipart, frac = np.divmod(digits, 10**10)
+        hi, lo = np.divmod(frac, 10**8)
+        mid, low = np.divmod(lo, 10**4)
+        words = (_SIGN[negative.view(np.uint8)], _INT4[ipart], _POINT2[hi], _DIGITS4[mid],
+                 _DIGITS4[low])
+    else:  # "\0-1." "2345" "6789" "0123" "e+05"
+        lead, rest = np.divmod(digits, 10**12)
+        hi, lo = np.divmod(rest, 10**8)
+        mid, low = np.divmod(lo, 10**4)
+        words = (_LEAD[lead + 10 * negative], _DIGITS4[hi], _DIGITS4[mid], _DIGITS4[low],
+                 _EXP[exp10 + 32])
+    slow = np.flatnonzero(~exact)
+    slow_text = [(conv % v).encode() for v in flat[slow].tolist()]
+    cell = max(20, -(-max(map(len, slow_text), default=0) // 4) * 4)
+    record = np.empty((rows, cols, cell // 4 + sep_words.shape[1]), np.uint32)
+    record[:, :, len(words) : cell // 4] = _PAD_WORD
+    record[:, :, cell // 4 :] = sep_words
+    cells = record.reshape(rows * cols, -1)
+    for j, w in enumerate(words):
+        cells[:, j] = w
+    if slow.size:
+        cells[slow, : cell // 4] = np.frombuffer(
+            b"".join(t.ljust(cell, _PAD) for t in slow_text), np.uint32
+        ).reshape(slow.size, -1)
+    text = record.tobytes().translate(None, _PAD).split(_ROW_END)
+    return [row.decode() for row in text[:-1]]
+
+
 # -- deterministic JSON --------------------------------------------------------
 
 
@@ -398,26 +534,56 @@ def _json_escape(s: str) -> str:
 
 def emit_json(obj, indent: int = 0) -> str:
     """JSON text with insertion-ordered keys and %.12e float formatting."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    out = []
+    _json_pieces(obj, indent, out)
+    return "".join(out)
+
+
+def _json_pieces(obj, indent: int, out: list):
+    """Append obj's JSON text to out in pieces, so nested text is never copied."""
+    pad, inner = "  " * indent, "\n" + "  " * (indent + 1)
+    if isinstance(obj, (list, tuple)) and obj and all(isinstance(v, float) for v in obj):
+        obj = np.array(obj)
+    if (
+        isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size
+        and np.isfinite(obj).all()
+    ):
+        # finite floats: the same bytes as the element path below
+        sep = ",\n" + "  " * (indent + obj.ndim)
+        table = obj.astype(float).reshape(-1, obj.shape[-1])
+        rows = _format_table(table, "%.12e", [sep] * (table.shape[1] - 1) + [""])
+        _json_array(obj.shape, indent, rows, out)
+    elif isinstance(obj, dict) and obj:
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(("," if i else "{") + inner + _json_escape(str(k)) + ": ")
+            _json_pieces(v, indent + 1, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
+        for i, v in enumerate(obj):
+            out.append(("," if i else "[") + inner)
+            _json_pieces(v, indent + 1, out)
+        out.append("\n" + pad + "]")
+    else:
+        out.append(_json_scalar(obj))
+
+
+def _json_array(shape, indent: int, rows, out: list):
+    """Append a float array as nested lists, taking its innermost rows from rows."""
+    inner = "\n" + "  " * (indent + 1)
+    if len(shape) == 1:
+        out += ("[" + inner, next(rows))
+    else:
+        for i in range(shape[0]):
+            out.append(("," if i else "[") + inner)
+            _json_array(shape[1:], indent + 1, rows, out)
+    out.append("\n" + "  " * indent + "]")
+
+
+def _json_scalar(obj) -> str:
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{_json_escape(str(k))}: {emit_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "{}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, float) and math.isfinite(v) for v in seq):
-            # flat list of finite floats: the same bytes as the element path below
-            template = ",\n".join([inner + "%.12e"] * len(seq))
-            return "[\n" + template % tuple(seq) + "\n" + pad + "]"
-        items = [f"{inner}{emit_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return "[]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -471,17 +637,21 @@ def _solve_modes(parsed: ParsedInput, unit_mode: str) -> nm.NormalModeResult:
 
 def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
     """modes.xyz as text chunks, two per animation frame."""
-    atom_lines = "".join(
-        atom.label.replace("%", "%%") + " %.10f %.10f %.10f\n"
-        for atom in molecule.atoms
-    )
-    for i in range(result.nmodes):
-        mode_vec = result.cart_displacements[:, i]
-        geoms = nm.mode_animation(molecule, mode_vec, job.amplitude, job.frames)
-        freq = result.frequencies_cm[i]
-        for t, coords in enumerate(geoms.reshape(len(geoms), -1).tolist()):
-            yield f"{molecule.natoms}\nmode={i} freq={freq:.6f} frame={t}\n"
-            yield atom_lines % tuple(coords)
+    labels = [atom.label for atom in molecule.atoms]
+    # one row per frame; each z is followed by the next atom's label
+    seps = [s for label in labels[1:] for s in (" ", " ", f"\n{label} ")] + [" ", " ", "\n"]
+    freqs = result.frequencies_cm.tolist()
+    per_block = max(1, FORMAT_BLOCK_VALUES // (job.frames * len(seps)))
+    for first in range(0, result.nmodes, per_block):
+        modes = range(first, min(first + per_block, result.nmodes))
+        geoms = np.concatenate([
+            nm.mode_animation(molecule, result.cart_displacements[:, i], job.amplitude, job.frames)
+            for i in modes
+        ])
+        rows = _format_table(geoms.reshape(len(geoms), -1), "%.10f", seps)
+        for (i, t), row in zip(itertools.product(modes, range(job.frames)), rows):
+            yield f"{molecule.natoms}\nmode={i} freq={freqs[i]:.6f} frame={t}\n{labels[0]} "
+            yield row
 
 
 # One entry of report.json's "levels" list, as emit_json writes a level dict at
@@ -526,12 +696,13 @@ def _report_json(report: dict, level_values):
 
 
 def _trajectory_csv(times, states):
-    """trajectory.csv as text chunks: the header, then one row per sample."""
+    """trajectory.csv as text chunks: the header, then blocks of rows."""
     n = states.shape[1]
     yield "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
-    row = ",".join(["%.12e"] * (n + 1)) + "\n"
-    for t, x in zip(times.tolist(), states):
-        yield row % (t, *x.tolist())
+    step = max(1, FORMAT_BLOCK_VALUES // (n + 1))
+    for i in range(0, len(times), step):
+        block = np.column_stack((times[i : i + step], states[i : i + step]))
+        yield "".join(_format_table(block, "%.12e", [","] * n + ["\n"]))
 
 
 def run(job: JobSpec) -> int:
@@ -539,6 +710,12 @@ def run(job: JobSpec) -> int:
     outputs = _Outputs(directory=job.output_dir)
     try:
         parsed = parse_input(job.input_path)
+        xyz_values = job.frames * 3 * parsed.molecule.natoms * len(parsed.internal_coordinates)
+        if "modes" in job.tasks and xyz_values > XYZ_VALUES_MAX:
+            raise ValidationError(
+                f"--frames {job.frames} gives {xyz_values} modes.xyz values, "
+                f"more than XYZ_VALUES_MAX = {XYZ_VALUES_MAX}"
+            )
         job.output_dir.mkdir(parents=True, exist_ok=True)
         report = {
             "input": job.input_path.name,
@@ -560,12 +737,12 @@ def run(job: JobSpec) -> int:
                 else None
             )
             report["modes"] = {
-                "lambdas": list(result.lambdas),
-                "frequencies": list(result.frequencies_cm),
+                "lambdas": result.lambdas,
+                "frequencies": result.frequencies_cm,
                 "eckart_residuals": (
                     {
-                        "translational": list(ecd.translational),
-                        "rotational": list(ecd.rotational),
+                        "translational": ecd.translational,
+                        "rotational": ecd.rotational,
                     }
                     if ecd is not None
                     else None

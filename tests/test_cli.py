@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, levels_by_tuple_sort
 from vibrot import cli
@@ -259,6 +261,22 @@ class TestRun:
             assert code == 2
             assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_frames_bounded_by_xyz_size(self, tmp_path, monkeypatch, capsys):
+        # water: 3 atoms and 3 modes, so 27 modes.xyz values a frame; a
+        # rejected frame count allocates nothing
+        args = ["analyze", str(FIXTURES / "water.inp"), "--tasks", "modes", "--out", str(tmp_path)]
+        assert cli.main(args + ["--frames", str(10**12)]) == 2
+        assert "XYZ_VALUES_MAX" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        monkeypatch.setattr(cli, "XYZ_VALUES_MAX", 27 * 20)
+        assert cli.main(args + ["--frames", "21"]) == 2
+        assert not any(tmp_path.iterdir())
+        assert cli.main(args + ["--frames", "20"]) == 0
+        assert (tmp_path / "modes.xyz").exists()
+        # the bound holds only where modes.xyz is written
+        args[3] = "rotor"
+        assert cli.main(args + ["--frames", "21"]) == 0
 
     def test_missing_file_exit_2(self, tmp_path):
         job = JobSpec(input_path=tmp_path / "absent.inp", tasks=("modes",),
@@ -532,6 +550,26 @@ class TestXyzWriter:
         job = JobSpec(input_path="x.inp", frames=2)
         assert "".join(cli._xyz_frames(mol, result, job)) == xyz_per_line(mol, result, job)
 
+    # FORMAT_BLOCK_VALUES = 36 holds 2 modes of 3 atoms at 2 frames a mode;
+    # at 5 frames (45 values) one mode spans two blocks.
+    @pytest.mark.parametrize("nmodes,frames", [(1, 2), (2, 2), (3, 2), (2, 5)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_line_writer_at_block_edges(self, monkeypatch, nmodes, frames, dim):
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", 36)
+        rng = np.random.default_rng(nmodes * 100 + frames * 10 + dim)
+        positions = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 4, (3, 3))
+        mol = mo.Molecule.from_lists(
+            ["%d%%", "\u00d6", "a\x00b"], [1.0, 2.0, 3.0], positions, dimensionality=dim
+        )
+        result = SimpleNamespace(
+            nmodes=nmodes, frequencies_cm=rng.normal(size=nmodes) * 1e3,
+            cart_displacements=rng.normal(size=(mol.ncart, nmodes)),
+        )
+        job = JobSpec(input_path="x.inp", frames=frames, amplitude=0.4)
+        text = "".join(cli._xyz_frames(mol, result, job))
+        assert text == xyz_per_line(mol, result, job)
+        assert text.count("\n") == nmodes * frames * 5
+
 
 def trajectory_csv_per_element(times, states):
     """trajectory.csv formatted one float at a time."""
@@ -556,6 +594,70 @@ class TestTrajectoryWriter:
         text = "".join(cli._trajectory_csv(times, states))
         assert text == trajectory_csv_per_element(times, states)
         assert text.count("\n") == samples + 1
+
+    # 4 columns (t, x1..x3) and FORMAT_BLOCK_VALUES = 12: blocks of 3 rows
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4, 7])
+    def test_matches_per_element_writer_at_block_edges(self, monkeypatch, samples):
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", 12)
+        rng = np.random.default_rng(samples)
+        states = rng.normal(size=(samples, 3)) * 10.0 ** rng.integers(-40, 20, (samples, 3))
+        states.reshape(-1)[::5] = np.resize(self.SPECIAL, states.reshape(-1)[::5].size)
+        times = np.linspace(0.0, 2.0, samples)
+        text = "".join(cli._trajectory_csv(times, states))
+        assert text == trajectory_csv_per_element(times, states)
+
+
+def formatted_per_cell(values, conv, seps):
+    """Rows of a table formatted one value at a time with the % operator."""
+    return ["".join(conv % v + sep for v, sep in zip(row, seps)) for row in values.tolist()]
+
+
+CONVERSIONS = ("%.12e", "%.10f")
+
+
+class TestExactFormatter:
+    # Exact decimal ties: both neighbours are equally near, % rounds half to even.
+    TIES = {
+        "%.12e": [1234567890123.5, 1234567890124.5, -9999999999999.5, 1000000000000.5],
+        "%.10f": [2.0**-11, 3 * 2.0**-11, -(1 + 2.0**-11), 9999.00048828125],
+    }
+    # Two-product scalings (|x| < 1e-10) that land on the wrong side of a
+    # half-integer: only the spacing margin sends them to the % fallback.
+    NEAR_TIES = [3.3608200639765e-24, 3.8506434990125e-18, 1.0524213559715e-18,
+                 4.3092961272105e-24, 8.1202055335555e-12, 3.7807137916805e-21]
+    EDGES = [
+        9.9999999999995, 9999.99999999995, 99999.9999999995, 1e-100, -1e200, 5e-324,
+        -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0,
+        math.nan, math.inf, -math.inf, 1.5, -0.25, 5e-11, 1.5e-10, 2.5e-10,
+        # the exact-scaling ranges: 10^k for k <= 22 in one product, down to
+        # |x| = 1e-32 in two, integer parts below 10^4 for %.10f
+        1e13, np.nextafter(1e13, 0.0), 1e12, 1e-10, np.nextafter(1e-10, 0.0), 1e-9,
+        1e-32, np.nextafter(1e-32, 0.0), 1e-33, 1e4, np.nextafter(1e4, 0.0), 9999.5,
+    ]
+
+    @pytest.mark.parametrize("conv", CONVERSIONS)
+    def test_edges_match_percent(self, conv):
+        values = np.array([self.TIES[conv] + self.NEAR_TIES + self.EDGES]).T
+        assert list(cli._format_table(values, conv, ["\n"])) == formatted_per_cell(
+            values, conv, ["\n"]
+        )
+
+    @pytest.mark.parametrize("conv", CONVERSIONS)
+    def test_ties_take_the_percent_fallback(self, conv):
+        near = self.NEAR_TIES if conv == "%.12e" else []
+        _, _, exact = cli._rounded_digits(np.array(self.TIES[conv] + near), conv)
+        assert not exact.any()
+        _, _, exact = cli._rounded_digits(np.array([1.5, -0.25, 0.0, -0.0, 3e-20]), conv)
+        assert exact.all()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(), min_size=1, max_size=12), st.sampled_from(CONVERSIONS))
+    def test_matches_percent_on_any_double(self, row, conv):
+        values = np.array([row])
+        seps = [",", "\u00d6\x00"] * 6
+        assert list(cli._format_table(values, conv, seps[: len(row)])) == formatted_per_cell(
+            values, conv, seps
+        )
 
 
 def json_per_element(seq, indent):
@@ -609,6 +711,13 @@ class TestJsonEmitter:
     @pytest.mark.parametrize("indent", [0, 3])
     def test_arrays_match_per_element_emitter(self, obj, indent):
         assert cli.emit_json(obj, indent) == emit_json_per_element(obj, indent)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (3, 4, 2), (1, 1, 9)])
+    def test_arrays_across_format_blocks(self, monkeypatch, shape):
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", 5)
+        rng = np.random.default_rng(len(shape))
+        arr = rng.normal(size=shape) * 10.0 ** rng.integers(-40, 40, shape)
+        assert cli.emit_json(arr, 2) == emit_json_per_element(arr, 2)
 
     def test_fixed_float_format(self):
         assert cli.emit_json(1.0) == "1.000000000000e+00"
