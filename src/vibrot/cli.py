@@ -28,7 +28,9 @@ vectorized formatter (_format_table) that falls back to % for every value it
 cannot prove; the bytes are those of % formatting.
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
 on failure every output file of the run is removed, also one that failed
-midway.
+midway.  A task the input cannot run (dynamics without [dynamics],
+watson-diagnostics on a linear or non-3-D molecule, rotor without [rotor]
+and with degenerate inertia) exits 2 before anything is solved or written.
 """
 
 from __future__ import annotations
@@ -710,12 +712,29 @@ def run(job: JobSpec) -> int:
     outputs = _Outputs(directory=job.output_dir)
     try:
         parsed = parse_input(job.input_path)
-        xyz_values = job.frames * 3 * parsed.molecule.natoms * len(parsed.internal_coordinates)
+        # every precondition is checked before anything is solved or written
+        mol = parsed.molecule
+        xyz_values = job.frames * 3 * mol.natoms * len(parsed.internal_coordinates)
         if "modes" in job.tasks and xyz_values > XYZ_VALUES_MAX:
             raise ValidationError(
                 f"--frames {job.frames} gives {xyz_values} modes.xyz values, "
                 f"more than XYZ_VALUES_MAX = {XYZ_VALUES_MAX}"
             )
+        if "dynamics" in job.tasks and parsed.initial_conditions is None:
+            raise ValidationError("dynamics task requires a [dynamics] section")
+        inertia = None
+        if "watson-diagnostics" in job.tasks:
+            if mol.dimensionality != 3:
+                raise ValidationError("watson-diagnostics requires a 3-dimensional molecule")
+            inertia = mo.inertia(mol)
+            if math.inf in inertia.rotational_constants:
+                raise ValidationError("watson-diagnostics requires a nonlinear molecule")
+        spec = parsed.rotor_spec
+        if "rotor" in job.tasks and spec is None:
+            inertia = inertia or mo.inertia(mol)
+            spec = ro.rotor_spec_from_inertia(inertia.rotational_constants)
+            if spec is None:
+                raise ValidationError("no [rotor] section and the molecular inertia is degenerate")
         job.output_dir.mkdir(parents=True, exist_ok=True)
         report = {
             "input": job.input_path.name,
@@ -731,11 +750,7 @@ def run(job: JobSpec) -> int:
             result = _solve_modes(parsed, job.unit_mode)
 
         if "modes" in job.tasks:
-            ecd = (
-                wa.eckart_conditions_check(parsed.molecule, result.l)
-                if parsed.molecule.dimensionality == 3
-                else None
-            )
+            ecd = wa.eckart_conditions_check(mol, result.l) if mol.dimensionality == 3 else None
             report["modes"] = {
                 "lambdas": result.lambdas,
                 "frequencies": result.frequencies_cm,
@@ -748,11 +763,9 @@ def run(job: JobSpec) -> int:
                     else None
                 ),
             }
-            outputs.write("modes.xyz", _xyz_frames(parsed.molecule, result, job))
+            outputs.write("modes.xyz", _xyz_frames(mol, result, job))
 
         if "dynamics" in job.tasks:
-            if parsed.initial_conditions is None:
-                raise ValidationError("dynamics task requires a [dynamics] section")
             metric = result.g_inv
             times = np.linspace(
                 0.0,
@@ -780,13 +793,9 @@ def run(job: JobSpec) -> int:
             outputs.write("trajectory.csv", _trajectory_csv(times, states))
 
         if "watson-diagnostics" in job.tasks:
-            if parsed.molecule.dimensionality != 3:
-                raise ValidationError(
-                    "watson-diagnostics requires a 3-dimensional molecule"
-                )
-            cd = wa.coriolis_data(parsed.molecule, result.l)
-            sr = wa.sum_rule_residuals(cd, parsed.molecule, result.l)
-            ie = wa.inertia_expansion(parsed.molecule, result.l, cd.a_coeff)
+            cd = wa.coriolis_data(mol, result.l)
+            sr = wa.sum_rule_residuals(cd, mol, result.l)
+            ie = wa.inertia_expansion(mol, result.l, cd.a_coeff)
             report["watson"] = {
                 "zeta": cd.zeta,
                 "interaction_coefficients": cd.a_coeff,
@@ -800,15 +809,6 @@ def run(job: JobSpec) -> int:
             }
 
         if "rotor" in job.tasks:
-            spec = parsed.rotor_spec
-            if spec is None:
-                spec = ro.rotor_spec_from_inertia(
-                    mo.inertia(parsed.molecule).rotational_constants
-                )
-                if spec is None:
-                    raise ValidationError(
-                        "no [rotor] section and the molecular inertia is degenerate"
-                    )
             report["rotor"] = {
                 "constants": {"a": spec.a_const, "b": spec.b_const, "c": spec.c_const},
                 "classification": spec.classification,

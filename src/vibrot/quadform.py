@@ -131,18 +131,14 @@ def matrix_power(a: SymMatrix, gamma: float) -> SymMatrix:
 
 
 def is_positive_definite(a: SymMatrix) -> bool:
-    """Sylvester test: all leading principal minors positive.
+    """True unless `require_positive_definite` rejects a's eigenvalues.
 
-    Implemented through an (attempted) Cholesky factorization of the matrix
-    shifted down by the tolerance, so that values positive-definite only
-    within 1e-12 of singular report False.
+    Matrices positive-definite only within 1e-12 * max(1, max |a_ij|) of
+    singular report False.
     """
-    n = a.dim
-    scale = max(1.0, np.abs(a.entries).max())
-    shifted = a.entries - SYMMETRIZE_TOL * scale * np.eye(n)
     try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
+        require_positive_definite(np.linalg.eigvalsh(a.entries), a, "matrix")
+    except NotPositiveDefinite:
         return False
     return True
 
@@ -161,7 +157,7 @@ def _group_degenerate(lambdas: np.ndarray) -> list:
 
 def require_positive_definite(eigenvalues, a: SymMatrix, what: str) -> None:
     """Raise NotPositiveDefinite unless every eigenvalue of `a` exceeds
-    1e-12 * max(1, max |a_ij|), the margin `is_positive_definite` applies."""
+    1e-12 * max(1, max |a_ij|): the one positive-definiteness criterion."""
     scale = max(1.0, np.abs(a.entries).max())
     if np.min(eigenvalues) <= SYMMETRIZE_TOL * scale:
         raise NotPositiveDefinite(f"{what} is not positive definite")

@@ -11,13 +11,19 @@ component for every mode pair at once) is added in atom order, starting
 from +0.0.  That is how numpy sums per-pair cross products over atoms, so
 the result is bit-identical to such a loop, signed zeros included.  The
 matrix-product form X_p^T X_q - X_q^T X_p is not used: BLAS reorders its
-sums, which changes the last printed digits of the report.  The other
-Levi-Civita contractions run over three axes only and are written as
-direct loops.  The matching test oracles use an independent permutation-sum
-implementation.
+sums, which changes the last printed digits of the report.  The matching
+test oracle uses an independent permutation-sum implementation.
 
-Each term of Watson's rule 1 is one (3n x 3n) BLAS product instead: its
-max-abs residual moves only at roundoff with the summation order.
+The inertia derivatives are a_k = c l_k, with c the (9 x 3N) inertia
+gradient of the equilibrium geometry.  Eckart modes are complete in the
+vibrational subspace, sum_n l_n l_n^T = 1 - T T^T - R R^T with T and R the
+mass-weighted translations and rotations (Watson, Mol. Phys. 15, 479 (1968);
+Meal & Polo, J. Chem. Phys. 24, 1119 (1956)), and c T = 0 about the centre of
+mass.  Rule 2, sum_k a_k^ab a_k^gd = c^ab (1 - R R^T) c^gd, and rule 3,
+sum_n zeta^g_kn a_n^ab = l_k^T E_g (1 - R R^T) c^ab with E_g the per-atom
+cross product's g component, are therefore identities for Eckart modes.
+Each term of rule 1 is one (3n x 3n) BLAS product: its max-abs residual
+moves only at roundoff with the summation order.
 """
 
 from __future__ import annotations
@@ -28,17 +34,14 @@ from typing import Optional
 import numpy as np
 
 from . import constants
-from .molecule import Molecule, center_of_mass_shift, _inertia_tensor
+from .molecule import Molecule, _inertia_tensor, _rotation_rows
 from .quadform import DimensionMismatch
 
 ORTHONORMAL_TOL = 1e-8
 SINGULAR_TOL = 1e-12
 
-# eps[a, b, c] = sign of the permutation (a, b, c)
-_EPS = np.zeros((3, 3, 3))
-for _a, _b, _c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_a, _b, _c] = 1.0
-    _EPS[_a, _c, _b] = -1.0
+# axis alpha's cross-product component is the (p, q) pair's u_p v_q - u_q v_p
+_AXIS_PAIRS = ((1, 2), (2, 0), (0, 1))
 
 
 class WatsonError(ValueError):
@@ -116,8 +119,8 @@ class InertiaExpansion:
 class SumRuleResiduals:
     """Max-abs deviations of the three Watson sum rules.
 
-    rule3 follows the printed index pattern literally, which is known to be
-    ambiguous; it is reported, not certified.
+    Each rule is an identity for modes that span the Eckart vibrational
+    subspace, so all three read roundoff there.
     """
 
     rule1: float
@@ -172,7 +175,7 @@ def coriolis_constants(l: np.ndarray) -> CoriolisData:
     acc = np.empty((n, n))
     prod = np.empty((n, n))
     term = np.empty((n, n))
-    for alpha, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+    for alpha, (p, q) in enumerate(_AXIS_PAIRS):
         # acc[k, m] = sum_i l_ipk l_iqm - l_iqk l_ipm, in atom order from
         # +0.0 as numpy's add.reduce starts, so a sum of -0.0 terms is +0.0
         acc.fill(0.0)
@@ -187,33 +190,27 @@ def coriolis_constants(l: np.ndarray) -> CoriolisData:
     return CoriolisData(zeta=zeta)
 
 
+def _inertia_gradient(mol: Molecule) -> np.ndarray:
+    """c[(alpha, beta), (i, t)] = sqrt(m_i) (2 d_ab r_it - d_bt r_ia - d_at r_ib),
+    r about the centre of mass, so that a_k^{alpha beta} = c[(alpha, beta)] l_k."""
+    r = (mol.positions - mol.center_of_mass()) * np.sqrt(mol.masses)[:, None]
+    c = np.zeros((3, 3, mol.natoms, 3))
+    for t in range(3):
+        c[t, t] += 2.0 * r
+        c[t, :, :, t] -= r.T
+        c[:, t, :, t] -= r.T
+    return c.reshape(9, 3 * mol.natoms)
+
+
 def interaction_coefficients(mol: Molecule, l: np.ndarray) -> np.ndarray:
     """Derivatives a[k, alpha, beta] = (dI_alpha_beta / dQ_k) at equilibrium.
 
-    Geometry is taken relative to the center of mass.  The double
-    Levi-Civita contraction of the inertia expansion is evaluated axis by
-    axis; the result is symmetric in (alpha, beta).
+    Geometry is taken relative to the center of mass; a_k is the inertia
+    gradient applied to mode k, symmetric in (alpha, beta).
     """
     shaped = _shaped_l(mol, l)
-    pos = mol.positions - mol.center_of_mass()
-    sqm = np.sqrt(mol.masses)
     n = shaped.shape[2]
-    a = np.zeros((n, 3, 3))
-    for alpha in range(3):
-        for beta in range(3):
-            for gamma in range(3):
-                for delta in range(3):
-                    for eta in range(3):
-                        e = _EPS[alpha, gamma, delta] * _EPS[beta, eta, delta]
-                        if e == 0.0:
-                            continue
-                        # r0_gamma l_eta + r0_eta l_gamma, mass-weighted
-                        contrib = sqm[:, None] * (
-                            pos[:, gamma, None] * shaped[:, eta, :]
-                            + pos[:, eta, None] * shaped[:, gamma, :]
-                        )
-                        a[:, alpha, beta] += e * contrib.sum(axis=0)
-    return a
+    return (_inertia_gradient(mol) @ shaped.reshape(3 * mol.natoms, n)).T.reshape(n, 3, 3)
 
 
 def coriolis_data(mol: Molecule, l: np.ndarray) -> CoriolisData:
@@ -230,8 +227,7 @@ def inertia_expansion(
     a_coeff, when given, is interaction_coefficients(mol, l) computed
     already (for example CoriolisData.a_coeff) and is used as it is.
     """
-    shifted = center_of_mass_shift(mol)
-    i0 = _inertia_tensor(shifted.masses, shifted.positions)
+    i0 = _inertia_tensor(mol.masses, mol.positions - mol.center_of_mass())
     if a_coeff is None:
         a_coeff = interaction_coefficients(mol, l)
     return InertiaExpansion(i0=i0, a_coeff=a_coeff)
@@ -261,22 +257,16 @@ def _inertia_pinv(i0: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def _second_moment(mol_shifted: Molecule) -> np.ndarray:
-    pos = mol_shifted.positions
-    return np.einsum("i,ia,ib->ab", mol_shifted.masses, pos, pos)
-
-
 def sum_rule_residuals(
     cd: CoriolisData, mol: Molecule, l: np.ndarray
 ) -> SumRuleResiduals:
     """Evaluate both sides of the Watson sum rules and report deviations.
 
-    Rules 1 and 2 are exact identities for modes that satisfy the Eckart
-    conditions and drop below 1e-8 there.  Rule 1's terms are (3n x 3n)
-    products: Z Z^T (Z = zeta as 3n x n), M^T M (M = l as N x 3n, its axis
-    indices crossed) and a_k (I0)^-1 a_l.  Rule 3 is evaluated with the
-    most literal reading of its (inconsistent) printed indices and can be
-    large even on exact inputs.
+    All three rules are exact identities for modes that span the Eckart
+    vibrational subspace and drop to roundoff there.  Rule 1's terms are
+    (3n x 3n) products: Z Z^T (Z = zeta as 3n x n), M^T M (M = l as N x 3n,
+    its axis indices crossed) and a_k (I0)^-1 a_l.  Rules 2 and 3 take the
+    completeness forms of the module docstring.
     """
     shaped = _shaped_l(mol, l)
     if cd.zeta.shape[1] != shaped.shape[2]:
@@ -285,10 +275,8 @@ def sum_rule_residuals(
     zeta = cd.zeta
     n = shaped.shape[2]
 
-    shifted = center_of_mass_shift(mol)
-    i0 = _inertia_tensor(shifted.masses, shifted.positions)
-    i0_inv = _inertia_pinv(i0)
-    kmat = _second_moment(shifted)
+    pos = mol.positions - mol.center_of_mass()
+    i0_inv = _inertia_pinv(_inertia_tensor(mol.masses, pos))
 
     # rule 1: sum_n zeta[a,k,n] zeta[b,l,n]
     #         = d_ab d_kl - sum_i l[b,i,k] l[a,i,l] - (1/4) a_k (I0)^-1 a_l,
@@ -303,34 +291,22 @@ def sum_rule_residuals(
     resid1.reshape(3 * n, 3 * n)[np.diag_indices(3 * n)] -= 1.0
     rule1 = _maxabs(resid1)
 
-    # rule 2: sum_k a[k,ab] a[k,gd] against the pure-geometry expression
-    lhs2 = np.einsum("kab,kgd->abgd", a, a)
-    masses = shifted.masses
-    pos = shifted.positions
-    r2 = float(np.einsum("i,ia,ia->", masses, pos, pos))
-    eye = np.eye(3)
-    direct = (
-        4.0 * r2 * np.einsum("ab,gd->abgd", eye, eye)
-        - 4.0 * np.einsum("ab,gd->abgd", eye, kmat)
-        - 4.0 * np.einsum("gd,ab->abgd", eye, kmat)
-        + np.einsum("bd,ag->abgd", eye, kmat)
-        + np.einsum("bg,ad->abgd", eye, kmat)
-        + np.einsum("ad,bg->abgd", eye, kmat)
-        + np.einsum("ag,bd->abgd", eye, kmat)
-    )
-    # w[ab, p] = sum_g eps[p,g,b] K[g,a] + eps[p,g,a] K[g,b]
-    w = np.einsum("pgb,ga->abp", _EPS, kmat) + np.einsum("pga,gb->abp", _EPS, kmat)
-    rot = np.einsum("abp,pq,gdq->abgd", w, i0_inv, w)
-    rule2 = _maxabs(lhs2 - direct + rot)
+    c = _inertia_gradient(mol)
+    # R: orthonormal mass-weighted rotations, 2 for a linear molecule
+    sqm = np.sqrt(mol.masses)[:, None]
+    rot = np.reshape([row / sqm for row in _rotation_rows(mol, pos)], (-1, 3 * mol.natoms)).T
+    vib = c.T - rot @ (rot.T @ c.T)  # (1 - R R^T) c^T
+    a9 = a.reshape(n, 9)
 
-    # rule 3, literal reading of the printed indices (reported only)
-    lhs3 = np.einsum("akl,lbg->abgk", zeta, a)
-    tr_a = np.einsum("kee->k", a)
-    rhs3 = 0.5 * np.einsum("abg,k->abgk", _EPS, tr_a)
-    rhs3 -= np.einsum("abe,keg->abgk", _EPS, a)
-    geom = np.einsum("bde,dg,eg->bg", _EPS, kmat, i0_inv)
-    rhs3 -= np.einsum("bg,ka->abgk", geom, np.einsum("kxa->ka", a))
-    rule3 = _maxabs(lhs3 - rhs3)
+    # rule 2: sum_k a_k^ab a_k^gd = c^ab (1 - R R^T) c^gd
+    rule2 = _maxabs(a9.T @ a9 - c @ vib)
+
+    # rule 3: sum_n zeta^g_kn a_n^ab = l_k^T E_g (1 - R R^T) c^ab
+    vib = vib.reshape(mol.natoms, 3, 9)
+    resid3 = zeta @ a9
+    for gamma, (p, q) in enumerate(_AXIS_PAIRS):
+        resid3[gamma] -= shaped[:, p].T @ vib[:, q] - shaped[:, q].T @ vib[:, p]
+    rule3 = _maxabs(resid3)
     return SumRuleResiduals(rule1=rule1, rule2=rule2, rule3=rule3)
 
 
@@ -342,8 +318,7 @@ def eckart_conditions_check(mol: Molecule, l: np.ndarray) -> EckartResiduals:
     |sum_i sqrt(m_i) (r0_ia l_bik - r0_ib l_aik)|.
     """
     shaped = _shaped_l(mol, l)
-    shifted = center_of_mass_shift(mol)
-    pos = shifted.positions
+    pos = mol.positions - mol.center_of_mass()
     sqm = np.sqrt(mol.masses)
     trans_vec = np.einsum("i,iak->ak", sqm, shaped)
     translational = np.linalg.norm(trans_vec, axis=0)

@@ -236,6 +236,7 @@ class TestRun:
         sr = report["watson"]["sum_rule_residuals"]
         assert sr["rule1"] < 1e-8
         assert sr["rule2"] < 1e-8
+        assert sr["rule3"] < 1e-8
         assert report["watson"]["watson_u0"] < 0
 
     def test_unknown_task_is_usage_error(self):
@@ -305,6 +306,30 @@ cart 2 x
         assert run(job) == 2
         assert not (out / "modes.xyz").exists()
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "header,atoms,tasks,message",
+        [("", MINIMAL, "modes,dynamics", "requires a [dynamics] section"),
+         ("[molecule]\ndimensionality = 2\n", MINIMAL, "modes,watson-diagnostics",
+          "requires a 3-dimensional molecule"),
+         ("", MINIMAL, "modes,watson-diagnostics", "requires a nonlinear molecule"),
+         ("", "[atoms]\nX 1.0 0.0 0.0 0.0\n[internal_coordinates]\ncart 1 x\n"
+          "[force_constants]\n1.0\n", "modes,rotor", "inertia is degenerate")],
+        ids=["no-dynamics-section", "planar-watson", "linear-watson", "point-rotor"],
+    )
+    def test_task_preconditions_checked_before_solve_or_write(
+        self, tmp_path, monkeypatch, capsys, header, atoms, tasks, message
+    ):
+        def reached(*args):
+            raise cli.QuadformError("the job went past its precondition checks")
+
+        monkeypatch.setattr(cli, "_solve_modes", reached)
+        monkeypatch.setattr(cli, "_xyz_frames", reached)
+        path = write_input(tmp_path, header + atoms)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(path), "--tasks", tasks, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unstable_mode_exit_3_and_outputs_removed(self, tmp_path):
         # saddle-point force field: modes solve, the closed form refuses

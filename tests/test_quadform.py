@@ -93,6 +93,24 @@ class TestPositiveDefinite:
         for _ in range(10):
             assert qf.is_positive_definite(random_spd(rng, 5))
 
+    @pytest.mark.parametrize(
+        "diag,expected",
+        [([1.0, 2e-12], True), ([1.0, 5e-13], False), ([1.0, 1e-12], False),
+         ([4.0, 6e-12], True), ([4.0, 3e-12], False)],
+    )
+    def test_margin_is_require_positive_definite(self, diag, expected):
+        # the margin is 1e-12 * max(1, max |a_ij|), the one that
+        # require_positive_definite applies to the eigenvalues
+        a = SymMatrix.diagonal(diag)
+        assert qf.is_positive_definite(a) is expected
+        try:
+            qf.require_positive_definite(np.linalg.eigvalsh(a.entries), a, "a")
+        except NotPositiveDefinite:
+            raised = True
+        else:
+            raised = False
+        assert raised is not expected
+
 
 class TestSimultaneousDiagonalize:
     def test_identity_metric_diagonal_form(self):

@@ -155,6 +155,81 @@ def rule1_einsum(cd, mol, l):
     return (np.abs(resid).max() if resid.size else 0.0), largest
 
 
+def _eps_table():
+    return np.array([[[eps_sign(a, b, c) for c in range(3)] for b in range(3)]
+                     for a in range(3)], dtype=float)
+
+
+def interaction_eps_loop(mol, l):
+    """dI/dQ_k from the double Levi-Civita contraction of the inertia
+    expansion, one (alpha, beta, gamma, delta, eta) term at a time."""
+    natoms, n = mol.natoms, l.shape[1]
+    shaped = l.reshape(natoms, 3, n)
+    pos = mol.positions - mol.center_of_mass()
+    sqm = np.sqrt(mol.masses)
+    a = np.zeros((n, 3, 3))
+    for alpha, beta, gamma, delta, eta in itertools.product(range(3), repeat=5):
+        e = eps_sign(alpha, gamma, delta) * eps_sign(beta, eta, delta)
+        if e == 0:
+            continue
+        contrib = sqm[:, None] * (
+            pos[:, gamma, None] * shaped[:, eta, :] + pos[:, eta, None] * shaped[:, gamma, :]
+        )
+        a[:, alpha, beta] += e * contrib.sum(axis=0)
+    return a
+
+
+def _geometry(mol):
+    """(I0, its pseudo-inverse, the second moment K) about the centre of mass."""
+    shifted = mo.center_of_mass_shift(mol)
+    pos = shifted.positions
+    i0 = mo._inertia_tensor(shifted.masses, pos)
+    i0_inv = np.linalg.pinv(i0, rcond=wa.SINGULAR_TOL, hermitian=True)
+    return i0, i0_inv, np.einsum("i,ia,ib->ab", shifted.masses, pos, pos)
+
+
+def rule2_explicit(cd, mol):
+    """Watson rule 2 with its right side expanded in the second moment K:
+    sum_k a_k^ab a_k^gd = 4 tr K d_ab d_gd - 4 (d_ab K_gd + d_gd K_ab)
+    + (K_ag d_bd + K_ad d_bg + K_bg d_ad + K_bd d_ag) - w_ab (I0)^-1 w_gd,
+    the last term removing the rotations.
+
+    Returns (max-abs residual, largest absolute entry of any term).
+    """
+    _, i0_inv, kmat = _geometry(mol)
+    eps, eye, a = _eps_table(), np.eye(3), cd.a_coeff
+    lhs = np.einsum("kab,kgd->abgd", a, a)
+    direct = (
+        4.0 * np.trace(kmat) * np.einsum("ab,gd->abgd", eye, eye)
+        - 4.0 * np.einsum("ab,gd->abgd", eye, kmat)
+        - 4.0 * np.einsum("gd,ab->abgd", eye, kmat)
+        + np.einsum("bd,ag->abgd", eye, kmat)
+        + np.einsum("bg,ad->abgd", eye, kmat)
+        + np.einsum("ad,bg->abgd", eye, kmat)
+        + np.einsum("ag,bd->abgd", eye, kmat)
+    )
+    w = np.einsum("pgb,ga->abp", eps, kmat) + np.einsum("pga,gb->abp", eps, kmat)
+    rot = np.einsum("abp,pq,gdq->abgd", w, i0_inv, w)
+    largest = max(np.abs(t).max() for t in (lhs, direct, rot))
+    return np.abs(lhs - direct + rot).max(), largest
+
+
+def rule3_literal(cd, mol):
+    """Rule 3 read off its printed index pattern,
+    sum_l zeta^a_kl a_l^bg = (1/2) eps_abg tr a_k - eps_abe a_k^eg
+    - (eps_bde K_dg (I0)^-1_eg) sum_x a_k^xa.
+    The indices do not balance, so this is not an identity: it is O(1) even
+    for exact Eckart modes.  Returns its max-abs residual."""
+    _, i0_inv, kmat = _geometry(mol)
+    eps, a = _eps_table(), cd.a_coeff
+    lhs = np.einsum("akl,lbg->abgk", cd.zeta, a)
+    rhs = 0.5 * np.einsum("abg,k->abgk", eps, np.einsum("kee->k", a))
+    rhs -= np.einsum("abe,keg->abgk", eps, a)
+    geom = np.einsum("bde,dg,eg->bg", eps, kmat, i0_inv)
+    rhs -= np.einsum("bg,ka->abgk", geom, np.einsum("kxa->ka", a))
+    return np.abs(lhs - rhs).max()
+
+
 def eckart_complement(mol):
     """Orthonormal mass-weighted vectors orthogonal to the three translations
     and three rotations about the centre of mass: modes that satisfy the
@@ -262,6 +337,22 @@ class TestInteractionCoefficients:
         a = interaction_coefficients(mol, res.l)
         np.testing.assert_allclose(a, fd_interaction(mol, res.l), atol=1e-6)
 
+    def assert_matches_eps_loop(self, mol, l):
+        a = interaction_coefficients(mol, l)
+        want = interaction_eps_loop(mol, l)
+        assert np.abs(a - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_matches_levi_civita_loop_water(self, water):
+        mol, _, _, _, res = water
+        self.assert_matches_eps_loop(mol, res.l)
+
+    def test_matches_levi_civita_loop_illcond8(self):
+        self.assert_matches_eps_loop(*illcond8_pipeline())
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_matches_levi_civita_loop_zigzag_chain(self, planar):
+        self.assert_matches_eps_loop(*zigzag_chain(24, planar))
+
     def test_symmetry_exact(self, rng, water):
         mol, _, _, _, res = water
         a = interaction_coefficients(mol, res.l)
@@ -288,12 +379,44 @@ class TestSumRules:
         # 45 modes span only part of the 66 vibrations, so rule 1 is O(1) here
         self.assert_rule1_matches_einsums(*zigzag_chain(24, planar))
 
+    def assert_rule2_matches_explicit(self, mol, l):
+        cd = coriolis_data(mol, l)
+        sr = sum_rule_residuals(cd, mol, l)
+        want, largest = rule2_explicit(cd, mol)
+        assert abs(sr.rule2 - want) <= 1e-13 * (1.0 + largest)
+        return sr
+
+    def test_rule2_matches_explicit_water(self, water):
+        mol, _, _, _, res = water
+        assert self.assert_rule2_matches_explicit(mol, res.l).rule2 < 1e-8
+
+    def test_rule2_matches_explicit_illcond8(self):
+        self.assert_rule2_matches_explicit(*illcond8_pipeline())
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_rule2_matches_explicit_zigzag_chain(self, planar):
+        # the 45 modes are the planar chain's in-plane vibrations, which carry
+        # every inertia derivative; off the plane they miss some
+        sr = self.assert_rule2_matches_explicit(*zigzag_chain(24, planar))
+        assert (sr.rule2 < 1e-8) if planar else (sr.rule2 > 1e-4)
+
+    def test_rule2_matches_explicit_linear_molecule(self):
+        mol, res = diatomic_pipeline()
+        self.assert_rule2_matches_explicit(mol, res.l)
+
+    def test_literal_rule3_is_not_an_identity(self, water):
+        mol, _, _, _, res = water
+        cd = coriolis_data(mol, res.l)
+        assert rule3_literal(cd, mol) >= 1.0
+        assert sum_rule_residuals(cd, mol, res.l).rule3 < 1e-12
+
     def test_diatomic_exact(self):
         mol, res = diatomic_pipeline()
         cd = coriolis_data(mol, res.l)
         sr = sum_rule_residuals(cd, mol, res.l)
         assert sr.rule1 < 1e-10
         assert sr.rule2 < 1e-10
+        assert sr.rule3 < 1e-10
 
     def test_water_pipeline_exact(self, water):
         mol, _, _, _, res = water
@@ -308,6 +431,8 @@ class TestSumRules:
         q, _ = np.linalg.qr(rng.normal(size=(9, 3)))
         sr = self.assert_rule1_matches_einsums(mol, q)
         assert sr.rule1 > 1e-4
+        assert sr.rule2 > 1e-4
+        assert sr.rule3 > 1e-4
 
     def test_single_atom_trivial(self):
         mol = Molecule.from_lists(["X"], [3.0], [[0.0, 0.0, 0.0]])
@@ -316,6 +441,7 @@ class TestSumRules:
         # no modes: rule 2 compares zero against zero geometry sums
         assert sr.rule1 == 0.0
         assert sr.rule2 == 0.0
+        assert sr.rule3 == 0.0
 
     @settings(max_examples=40)
     @given(
@@ -332,11 +458,14 @@ class TestSumRules:
         pos = helix + np.reshape(shifts, (8, 3))[:natoms]
         mol = Molecule.from_lists([f"X{i}" for i in range(natoms)], masses[:natoms], pos)
         l = eckart_complement(mol)
-        sr = sum_rule_residuals(coriolis_data(mol, l), mol, l)
+        cd = coriolis_data(mol, l)
+        sr = sum_rule_residuals(cd, mol, l)
         shifted = mo.center_of_mass_shift(mol)
         r2 = float(np.sum(shifted.masses[:, None] * shifted.positions**2))
+        zeta_a = np.einsum("gkn,nab->gkab", cd.zeta, cd.a_coeff)
         assert sr.rule1 <= 1e-12
         assert sr.rule2 <= 1e-12 * 4.0 * r2
+        assert sr.rule3 <= 1e-12 * (1.0 + np.abs(zeta_a).max())
 
 
 class TestInertiaExpansion:
