@@ -19,13 +19,16 @@ errors.
 Options: --units natural|cm; --jmax N with (N + 1)^2 <= ROTOR_LEVELS_MAX
 levels, so N <= 999; --frames N with at most XYZ_VALUES_MAX modes.xyz values
 when the modes task runs.  Outputs: report.json (always), modes.xyz,
-levels.txt, trajectory.csv as requested by the task list.  report.json is
-byte-deterministic: fixed field order and %.12e float formatting.
+levels.txt, trajectory.csv as requested by the task list.  report.json has a
+fixed field order and %.12e float formatting.  The bytes of every output are
+deterministic for one numpy/BLAS build and BLAS thread count; the rotor-only
+outputs do not depend on the thread count.
 modes.xyz, trajectory.csv and report.json's rotor level list are streamed
-to disk in chunks, not built as one string first.  The float tables of
-modes.xyz (%.10f), trajectory.csv and report.json (%.12e) come from an exact
-vectorized formatter (_format_table) that falls back to % for every value it
-cannot prove; the bytes are those of % formatting.
+to disk in chunks, not built as one string first.  The tables of
+modes.xyz (%.10f), trajectory.csv, levels.txt, report.json's float arrays
+and its level list come from an exact vectorized formatter (_format_table)
+that falls back to % for every value it cannot prove; the bytes are those of
+% formatting.
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
 on failure every output file of the run is removed, also one that failed
 midway.  A task the input cannot run (dynamics without [dynamics],
@@ -36,6 +39,7 @@ and with degenerate inertia) exits 2 before anything is solved or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import logging
 import math
@@ -405,10 +409,11 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**k < 2**53 for 
 
 
 # Formatted text is built in uint32 words, so that one store writes 4 bytes.
-# The bytes _PAD and _ROW_END never occur in UTF-8: _PAD fills the unused bytes
-# of a word and is deleted on output, _ROW_END follows the last separator of a
-# row and splits the rows.
-_PAD, _ROW_END = b"\xff", b"\xfe"
+# The bytes _PAD, _ROW_END and _LONG never occur in UTF-8: _PAD fills the
+# unused bytes of a word and is deleted on output, _ROW_END follows the last
+# separator of a row and splits the rows, and _LONG stands for a fallback text
+# too wide for its cell, which is spliced in after _PAD is deleted.
+_PAD, _ROW_END, _LONG = b"\xff", b"\xfe", b"\xfd"
 
 
 def _words(chars) -> np.ndarray:
@@ -417,7 +422,7 @@ def _words(chars) -> np.ndarray:
     return np.frombuffer(np.where(chars == 0, _PAD[0], chars).astype(np.uint8).tobytes(), np.uint32)
 
 
-# A formatted cell is 5 words ("\0" below is _PAD).
+# Word tables of the float cells ("\0" below is _PAD).
 _N4 = np.arange(10_000)[:, None]
 _CHARS4 = _N4 // [1000, 100, 10, 1] % 10 + ord("0")
 _DIGITS4 = _words(_CHARS4)                                                  # "0042"
@@ -426,23 +431,31 @@ _POINT2 = _words([(0, ord("."), *c[2:]) for c in _CHARS4[:100]])           # "\0
 _SIGN = _words([(0, 0, 0, 0), (0, 0, 0, ord("-"))])                        # "\0\0\0-"
 _LEAD = _words([(0, s, c[3], ord(".")) for s in (0, ord("-")) for c in _CHARS4[:10]])  # "\0-4."
 _EXP = _words([list(b"e%+03d" % e) for e in range(-32, 14)])               # "e-05"
-_PAD_WORD = _words([0, 0, 0, 0])[0]
+_RJUST4 = _words(np.where(_N4 >= [1000, 100, 10, 0], _CHARS4, ord(" ")))    # "  42"
+_RJUST3 = _words(np.where(_N4 >= [10**4, 100, 10, 1], _CHARS4, [0, 32, 32, 32])[:1000])  # "\0 42"
 del _N4, _CHARS4
+
+# Words per cell of each float conversion.
+_FLOAT_WORDS = {"%.12e": 5, "%.10f": 5, "%14.6f": 4}
+# Integer cells come from a table of 0 <= v < _INT_TABLE; other values take %.
+_INT_TABLE = 10_000
 
 
 def _rounded_digits(values: np.ndarray, conv: str):
-    """The decimal digits that conv ("%.12e" or "%.10f") prints for |values|.
+    """The decimal digits that conv ("%.12e", "%.10f" or "%14.6f") prints for |values|.
 
     Returns (digits, exp10, exact).  For "%.12e", digits is the 13-digit
-    mantissa as an integer and exp10 the decimal exponent; for "%.10f",
-    digits is round(|x| 10^10) and exp10 is 0.  The scaled value s = |x| 10^k
+    mantissa as an integer and exp10 the decimal exponent; for "%.10f" and
+    "%14.6f", digits is round(|x| 10^10) or round(|x| 10^6) and exp10 is 0.
+    The scaled value s = |x| 10^k
     is one correctly rounded product with an exact 10^k (k <= 22), or two
     (10^22, then 10^(k-22)) for the %.12e exponents down to -32, so it lies
     within steps * spacing(s) of the exact |x| 10^k.  Where frac(s) is farther
     than that from 1/2, round(s) equals the correctly rounded decimal that %
     prints.  exact is False, and digits meaningless, at every other value:
-    near-ties, nan, +-inf, exponents out of range and, for "%.10f", integer
-    parts of 10^4 or more.
+    near-ties, nan, +-inf, exponents out of range, integer parts of 10^4 or
+    more for "%.10f", and for "%14.6f" the values wider than 14 characters
+    (integer parts of 10^7 or more) and those with a sign, -0.0 included.
     """
     a = np.abs(values)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -451,6 +464,11 @@ def _rounded_digits(values: np.ndarray, conv: str):
             s = a * _POW10[10]
             steps = 1
             exact = s < 1e14 - 0.5  # an integer part of at most 4 digits
+        elif conv == "%14.6f":
+            exp10 = 0
+            s = a * _POW10[6]
+            steps = 1
+            exact = (s < 1e13 - 0.5) & ~np.signbit(values)  # 7 integer digits, no sign
         else:
             e = np.floor(np.log10(a))
             exact = (e >= -32) & (e <= 12)
@@ -470,58 +488,162 @@ def _rounded_digits(values: np.ndarray, conv: str):
     return digits, exp10, exact
 
 
-def _format_table(values: np.ndarray, conv: str, seps):
-    """Row strings of a (rows, cols) float table, formatted as conv % v.
+@functools.lru_cache(maxsize=None)
+def _table_words(conv) -> np.ndarray:
+    """The word table of a lookup column, one row of words per value.
 
-    seps holds one string per column, written verbatim after each value of
-    that column.  Every row equals "".join(conv % v + sep for v, sep in
-    zip(row, seps)) for every double: cells that _rounded_digits proves are
-    built from digit tables, and only the others are formatted by conv % v.
-    Blocks of at most FORMAT_BLOCK_VALUES values are formatted at a time.
+    conv is a tuple of labels, or "%d" or "%<width>d", whose table holds
+    conv % v for 0 <= v < _INT_TABLE, built from digits as _INT4 is.
     """
-    step = max(1, FORMAT_BLOCK_VALUES // values.shape[1])
-    sep_bytes = [s.encode() for s in seps]
-    sep_bytes[-1] += _ROW_END
-    width = -(-max(map(len, sep_bytes)) // 4) * 4
-    sep_words = np.array([s.ljust(width, _PAD) for s in sep_bytes], dtype=f"S{width}")
-    sep_words = sep_words.view(np.uint32).reshape(len(seps), -1)
-    for start in range(0, len(values), step):
-        yield from _format_block(values[start : start + step], conv, sep_words)
+    if isinstance(conv, tuple):
+        texts = [label.encode() for label in conv]
+        size = -(-max(map(len, texts)) // 4) * 4
+        return np.frombuffer(b"".join(t.ljust(size, _PAD) for t in texts), np.uint32).reshape(
+            len(texts), -1
+        )
+    width = int(conv[1:-1] or 0)
+    size = -(-max(width, 4) // 4) * 4
+    n = np.arange(_INT_TABLE)[:, None]
+    place = 10 ** np.arange(size - 1, -1, -1)
+    blank = np.where(np.arange(size) >= size - width, ord(" "), 0)
+    return _words(np.where((n >= place) | (place == 1), n // place % 10 + ord("0"), blank)).reshape(
+        _INT_TABLE, -1
+    )
 
 
-def _format_block(values, conv, sep_words):
-    """_format_table's row strings of one block."""
-    rows, cols = values.shape
-    flat = values.reshape(-1)
-    digits, exp10, exact = _rounded_digits(flat, conv)
-    negative = np.signbit(flat)
+def _cell_words(values: np.ndarray, conv):
+    """(words, exact): the words of conv's cell for each of the flat values.
+
+    words is a sequence of word arrays, the first, second, ... word of every
+    cell; a cell is exact where it equals conv % v (conv[v] for labels).
+    """
+    if isinstance(conv, tuple):
+        return _table_words(conv).take(values.astype(np.intp), 0).T, np.ones(values.shape, bool)
+    if conv.endswith("d"):
+        exact = (values >= 0) & (values < _INT_TABLE) & (np.floor(values) == values)
+        return _table_words(conv).take(np.where(exact, values, 0).astype(np.intp), 0).T, exact
+    digits, exp10, exact = _rounded_digits(values, conv)
+    negative = np.signbit(values)
     if conv == "%.10f":  # "\0\0\0-" "\0\042" "\0.12" "3456" "7890"
         ipart, frac = np.divmod(digits, 10**10)
         hi, lo = np.divmod(frac, 10**8)
         mid, low = np.divmod(lo, 10**4)
         words = (_SIGN[negative.view(np.uint8)], _INT4[ipart], _POINT2[hi], _DIGITS4[mid],
                  _DIGITS4[low])
+    elif conv == "%14.6f":  # "\0 12" "3456" "\0.12" "3456", or "\0   " "  42" ...
+        ipart, frac = np.divmod(digits, 10**6)
+        hi, lo = np.divmod(ipart, 10**4)
+        words = (_RJUST3[hi], np.where(hi > 0, _DIGITS4[lo], _RJUST4[lo]),
+                 _POINT2[frac // 10**4], _DIGITS4[frac % 10**4])
     else:  # "\0-1." "2345" "6789" "0123" "e+05"
         lead, rest = np.divmod(digits, 10**12)
         hi, lo = np.divmod(rest, 10**8)
         mid, low = np.divmod(lo, 10**4)
         words = (_LEAD[lead + 10 * negative], _DIGITS4[hi], _DIGITS4[mid], _DIGITS4[low],
                  _EXP[exp10 + 32])
-    slow = np.flatnonzero(~exact)
-    slow_text = [(conv % v).encode() for v in flat[slow].tolist()]
-    cell = max(20, -(-max(map(len, slow_text), default=0) // 4) * 4)
-    record = np.empty((rows, cols, cell // 4 + sep_words.shape[1]), np.uint32)
-    record[:, :, len(words) : cell // 4] = _PAD_WORD
-    record[:, :, cell // 4 :] = sep_words
-    cells = record.reshape(rows * cols, -1)
-    for j, w in enumerate(words):
-        cells[:, j] = w
-    if slow.size:
-        cells[slow, : cell // 4] = np.frombuffer(
-            b"".join(t.ljust(cell, _PAD) for t in slow_text), np.uint32
-        ).reshape(slow.size, -1)
-    text = record.tobytes().translate(None, _PAD).split(_ROW_END)
-    return [row.decode() for row in text[:-1]]
+    return words, exact
+
+
+def _format_table(values: np.ndarray, convs, seps):
+    """Row strings of a (rows, cols) float table, column c formatted by convs[c].
+
+    A conversion is "%.12e", "%.10f" or "%14.6f"; "%d" or "%<width>d" for a
+    column of integers; or a tuple of labels, which the column's values
+    index.  seps holds one string per column, written verbatim after each
+    value of that column.  Every row equals "".join(conv % v + sep for v,
+    conv, sep in zip(row, convs, seps)), with conv[int(v)] for a label
+    column, for every double: cells that _rounded_digits proves, and
+    integers and labels that a table holds, are built from word tables, and
+    only the others are formatted by conv % v.  Blocks of at most
+    FORMAT_BLOCK_VALUES values are formatted at a time.
+    """
+    for block in _format_blocks(values, convs, seps, _ROW_END):
+        # a block's rows are decoded at once, before the caller's allocations
+        # interleave with them: decoding a row per next() left the peak RSS
+        # of a 100-atom chain's job 8 MB higher
+        yield from [row.decode() for row in block.split(_ROW_END)[:-1]]
+
+
+def _format_text(values: np.ndarray, convs, seps):
+    """The rows of _format_table joined, one string per block."""
+    for block in _format_blocks(values, convs, seps, b""):
+        yield block.decode()
+
+
+@functools.lru_cache(maxsize=256)
+def _row_layout(convs: tuple, seps: tuple, row_end: bytes):
+    """(template, layout) of a table row: each column's cell words, then its
+    separator's words.
+
+    template is one row with the separators in place and _PAD in the cells;
+    layout holds (conv, its columns, the first word of each of its cells,
+    where each of the cell's words goes).  Writers format tables of the same
+    columns again and again, so the layouts are kept.
+    """
+    sep_bytes = [s.encode() for s in seps]
+    sep_bytes[-1] += row_end
+    sizes = [(_FLOAT_WORDS.get(conv) or _table_words(conv).shape[1], -(-len(s) // 4))
+             for conv, s in zip(convs, sep_bytes)]
+    template = np.frombuffer(b"".join(
+        _PAD * (4 * w) + s.ljust(4 * n, _PAD) for (w, n), s in zip(sizes, sep_bytes)
+    ), np.uint32)
+    starts = list(itertools.accumulate((w + n for w, n in sizes), initial=0))
+    groups = {}
+    for c, conv in enumerate(convs):
+        groups.setdefault(conv, []).append(c)
+    layout = []
+    for conv, cs in groups.items():
+        at = [starts[c] for c in cs]
+        step = at[1] - at[0] if len(at) > 1 else 1
+        # evenly spaced cells are written through a view, faster than an index array
+        evenly = at == list(range(at[0], at[-1] + 1, step))
+        where = [slice(at[0] + j, at[-1] + j + 1, step) if evenly else np.array(at) + j
+                 for j in range(sizes[cs[0]][0])]
+        layout.append((conv, slice(None) if len(cs) == len(convs) else cs, np.array(at), where))
+    return template, layout
+
+
+def _format_blocks(values, convs, seps, row_end: bytes):
+    """_format_table's blocks as UTF-8 bytes, each row followed by row_end."""
+    rows, cols = values.shape
+    template, layout = _row_layout(tuple(convs), tuple(seps), row_end)
+    step = max(1, FORMAT_BLOCK_VALUES // cols)
+    # one buffer for every block: a new one per block let the peak RSS of a
+    # long run of jmax-200 rotor jobs creep up by megabytes
+    buffer = np.empty((min(step, rows), template.size), np.uint32)
+    for start in range(0, rows, step):
+        block = values[start : start + step]
+        n = len(block)
+        record = buffer[:n]
+        record[:] = template
+        long = []  # (word offset, text) of fallback texts wider than their cell
+        for conv, sel, at, where in layout:
+            flat = block[:, sel].reshape(-1)
+            words, exact = _cell_words(flat, conv)
+            for index, w in zip(where, words):
+                record[:, index] = w.reshape(n, -1)
+            if exact.all():
+                continue
+            slow = np.flatnonzero(~exact)
+            size = 4 * len(words)
+            row, col = np.divmod(slow, len(at))
+            texts = []
+            for r, a, v in zip(row.tolist(), at[col].tolist(), flat[slow].tolist()):
+                text = (conv % v).encode()
+                if len(text) > size:
+                    long.append((r * template.size + a, text))
+                    text = _LONG
+                texts.append(text.ljust(size, _PAD))
+            record[row[:, None], at[col][:, None] + np.arange(len(words))] = np.frombuffer(
+                b"".join(texts), np.uint32
+            ).reshape(slow.size, -1)
+        text = record.tobytes().translate(None, _PAD)
+        if long:
+            parts = text.split(_LONG)
+            long.sort()
+            text = b"".join(itertools.chain.from_iterable(zip(parts, [t for _, t in long])))
+            text += parts[-1]
+        yield text
 
 
 # -- deterministic JSON --------------------------------------------------------
@@ -553,7 +675,7 @@ def _json_pieces(obj, indent: int, out: list):
         # finite floats: the same bytes as the element path below
         sep = ",\n" + "  " * (indent + obj.ndim)
         table = obj.astype(float).reshape(-1, obj.shape[-1])
-        rows = _format_table(table, "%.12e", [sep] * (table.shape[1] - 1) + [""])
+        rows = _format_table(table, ["%.12e"] * table.shape[1], [sep] * (table.shape[1] - 1) + [""])
         _json_array(obj.shape, indent, rows, out)
     elif isinstance(obj, dict) and obj:
         for i, (k, v) in enumerate(obj.items()):
@@ -650,51 +772,55 @@ def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
             nm.mode_animation(molecule, result.cart_displacements[:, i], job.amplitude, job.frames)
             for i in modes
         ])
-        rows = _format_table(geoms.reshape(len(geoms), -1), "%.10f", seps)
+        rows = _format_table(geoms.reshape(len(geoms), -1), ["%.10f"] * len(seps), seps)
         for (i, t), row in zip(itertools.product(modes, range(job.frames)), rows):
             yield f"{molecule.natoms}\nmode={i} freq={freqs[i]:.6f} frame={t}\n{labels[0]} "
             yield row
 
 
-# One entry of report.json's "levels" list, as emit_json writes a level dict at
-# indent 3; parity labels are fixed ASCII and energies finite (no escaping).
-_LEVEL_JSON = (
-    '      {\n        "j": %d,\n        "parity": "%s",\n        "index": %d,\n'
-    '        "energy": %.12e,\n        "degeneracy": %d\n      }'
-)
+# The (conversions, separators) of a level in report.json's level list and in
+# levels.txt, one table row per level with the columns of _level_table.  The
+# entry is emit_json's level dict at indent 3; each row ends with the opening
+# of the next entry.
+_LEVEL_OPEN = '\n      {\n        "j": '
+_LEVEL_ENTRY = (("%d", ro.PARITY_CLASSES, "%d", "%.12e", "%d"),
+                (',\n        "parity": "', '",\n        "index": ', ',\n        "energy": ',
+                 ',\n        "degeneracy": ', "\n      }," + _LEVEL_OPEN))
+_LEVEL_LINE = (("%5d", tuple("%6s" % c for c in ro.PARITY_CLASSES), "%5d", "%14.6f", "%10d"),
+               ("  ", "  ", " ", "  ", "\n"))
 
 
-def _level_values(levels: ro.RotorLevels) -> tuple:
-    """(j, parity, index, energy, degeneracy) of every level, flattened."""
-    parity = [ro.PARITY_CLASSES[c] for c in levels.code.tolist()]
-    rows = zip(levels.j.tolist(), parity, levels.index.tolist(), levels.energy.tolist(),
-               (2 * levels.j + 1).tolist())
-    return tuple(itertools.chain.from_iterable(rows))
+def _level_table(levels: ro.RotorLevels) -> np.ndarray:
+    """(J, parity class code, index, energy, degeneracy) of each level, as floats."""
+    return np.array((levels.j, levels.code, levels.index, levels.energy, 2 * levels.j + 1), float).T
 
 
-def _levels_text(spec: ro.RotorSpec, level_values: tuple) -> str:
+def _levels_text(spec: ro.RotorSpec, levels: ro.RotorLevels) -> list:
+    """levels.txt as text chunks: the header, then blocks of level lines."""
     header = (
         f"# rotor: A={spec.a_const:.6f} B={spec.b_const:.6f} C={spec.c_const:.6f} "
         f"({spec.classification})\n"
         "#   J  parity  index        E(cm-1)  degeneracy\n"
     )
-    return header + "%5d  %6s  %5d %14.6f  %10d\n" * (len(level_values) // 5) % level_values
+    return [header, *_format_text(_level_table(levels), *_LEVEL_LINE)]
 
 
-def _report_json(report: dict, level_values):
+def _report_json(report: dict, levels: Optional[ro.RotorLevels]):
     """report.json as text chunks.
 
     emit_json writes the report; a rotor level list, the last entry of the
-    last section, follows one J at a time and is never held as one string."""
-    text = emit_json(report)
-    if level_values is None:
-        yield text + "\n"
+    last section, follows in blocks of levels and is never held as one string."""
+    if levels is None:
+        yield emit_json(report) + "\n"
         return
-    yield text[: -len("\n  }\n}")] + ',\n    "levels": [\n'
-    for j in range(math.isqrt(len(level_values) // 5)):  # J has 2J + 1 levels
-        values = level_values[5 * j * j : 5 * (j + 1) ** 2]
-        yield (",\n" if j else "") + ",\n".join([_LEVEL_JSON] * (2 * j + 1)) % values
-    yield "\n    ]\n  }\n}\n"
+    # no name holds the report's text while the level list is formatted
+    yield emit_json(report)[: -len("\n  }\n}")] + ',\n    "levels": [' + _LEVEL_OPEN
+    blocks = _format_text(_level_table(levels), *_LEVEL_ENTRY)
+    last = next(blocks)  # every J has a level, so the list is never empty
+    for block in blocks:
+        yield last
+        last = block
+    yield last[: -len("," + _LEVEL_OPEN)] + "\n    ]\n  }\n}\n"
 
 
 def _trajectory_csv(times, states):
@@ -704,7 +830,7 @@ def _trajectory_csv(times, states):
     step = max(1, FORMAT_BLOCK_VALUES // (n + 1))
     for i in range(0, len(times), step):
         block = np.column_stack((times[i : i + step], states[i : i + step]))
-        yield "".join(_format_table(block, "%.12e", [","] * n + ["\n"]))
+        yield from _format_text(block, ["%.12e"] * (n + 1), [","] * n + ["\n"])
 
 
 def run(job: JobSpec) -> int:
@@ -742,7 +868,7 @@ def run(job: JobSpec) -> int:
             "unit_mode": job.unit_mode,
         }
 
-        level_values = None
+        levels = None
         needs_modes = any(
             t in job.tasks for t in ("modes", "dynamics", "watson-diagnostics")
         )
@@ -785,6 +911,8 @@ def run(job: JobSpec) -> int:
                 @ parsed.force_field.f.entries
                 @ parsed.initial_conditions.kappa
             )
+            if not (math.isfinite(energy0) and np.isfinite(states).all()):
+                raise dyn.NonFiniteTrajectory("the trajectory or its energy is not finite")
             report["dynamics"] = {
                 "t_end": parsed.dynamics_options["t_end"],
                 "samples": parsed.dynamics_options["samples"],
@@ -814,10 +942,10 @@ def run(job: JobSpec) -> int:
                 "classification": spec.classification,
                 "jmax": job.jmax,
             }
-            level_values = _level_values(ro.asymmetric_levels(spec, job.jmax))
-            outputs.write("levels.txt", [_levels_text(spec, level_values)])
+            levels = ro.asymmetric_levels(spec, job.jmax)
+            outputs.write("levels.txt", _levels_text(spec, levels))
 
-        outputs.write("report.json", _report_json(report, level_values))
+        outputs.write("report.json", _report_json(report, levels))
         return 0
     except (ParseError, ValidationError, OSError) as exc:
         outputs.cleanup()

@@ -37,6 +37,10 @@ class StepTooLarge(DynamicsError):
     """RK4 energy drift exceeded the trust threshold."""
 
 
+class NonFiniteTrajectory(DynamicsError):
+    """A trajectory state or the energy of the initial conditions is not finite."""
+
+
 @dataclass(frozen=True, eq=False)
 class InitialConditions:
     """Initial displacement kappa and velocity beta_vel."""

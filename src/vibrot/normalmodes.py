@@ -24,33 +24,24 @@ import numpy as np
 
 from . import constants, quadform
 from .molecule import BMatrix, MassMatrix, Molecule
-from .quadform import DimensionMismatch, SymMatrix
+from .quadform import DimensionMismatch, QuadformError, SymMatrix
 
 LAMBDA_CLAMP = 1e-10
 
 
+class NonFiniteModes(QuadformError):
+    """The GF solve gave a non-finite eigenvalue or mode (an overflowing F or G)."""
+
+
 @dataclass(frozen=True, eq=False)
 class ForceField:
-    """Harmonic force constants over internal coordinates, optional cubic block.
+    """Harmonic force constants over internal coordinates.
 
     Units are aJ/Angstrom^2 for stretch-stretch blocks, aJ/rad^2 for bends
-    and aJ/(Angstrom rad) for cross terms.  The cubic tensor is stored for
-    downstream consumers but takes no part in the harmonic solve.
+    and aJ/(Angstrom rad) for cross terms.
     """
 
     f: SymMatrix
-    cubic: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.cubic is not None:
-            c = np.array(self.cubic, dtype=float)
-            n = self.f.dim
-            if c.shape != (n, n, n):
-                raise DimensionMismatch(
-                    f"cubic block must be {(n, n, n)}, got {c.shape}"
-                )
-            c.flags.writeable = False
-            object.__setattr__(self, "cubic", c)
 
     @property
     def dim(self) -> int:
@@ -134,6 +125,8 @@ def solve(
     if cartesian:
         l = vt.T @ (u.T @ eta)
         cart = l * inv_sqrt_m[:, None]
+    if not all(np.isfinite(a).all() for a in (pair.lambdas, pair.beta, l) if a is not None):
+        raise NonFiniteModes("the GF solve gave non-finite eigenvalues or modes")
     return NormalModeResult(
         lambdas=pair.lambdas,
         frequencies_cm=frequencies_cm(pair.lambdas, unit_mode),

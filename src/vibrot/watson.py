@@ -75,13 +75,6 @@ class CoriolisData:
     def n_modes(self) -> int:
         return self.zeta.shape[1]
 
-    def tau(self, q) -> np.ndarray:
-        """tau[alpha, s] = sum_k zeta[alpha, k, s] Q_k at normal coordinates q."""
-        q = np.asarray(q, dtype=float)
-        if q.size != self.n_modes:
-            raise DimensionMismatch(f"expected {self.n_modes} normal coordinates")
-        return np.einsum("aks,k->as", self.zeta, q)
-
 
 @dataclass(frozen=True, eq=False)
 class InertiaExpansion:

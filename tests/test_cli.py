@@ -2,7 +2,11 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -384,6 +388,44 @@ beta = 0.0 0.0
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    # A finite but huge force constant or initial displacement overflows in
+    # the solve or the energy; neither may be written as nan or inf.
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [("-1.0 2.0", "1e308 2.0", "the GF solve gave non-finite eigenvalues or modes"),
+         ("kappa = 0.1 0.1", "kappa = 1e200 1e200", "the trajectory or its energy is not finite")],
+        ids=["overflowing-coupling", "overflowing-energy"],
+    )
+    def test_overflow_exits_3_with_no_outputs(self, tmp_path, capsys, old, new, message):
+        text = (FIXTURES / "twomass.inp").read_text()
+        assert old in text
+        path = write_input(tmp_path, text.replace(old, new, 1))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = cli.main(["analyze", str(path), "--tasks", "modes,dynamics", "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_rotor_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # The Wang blocks are tridiagonal already, so eigvalsh's reduction to
+        # tridiagonal form is exact and the levels cannot depend on how BLAS
+        # splits the work.
+        src = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "vibrot.cli", "analyze", str(FIXTURES / "water.inp"),
+                 "--tasks", "rotor", "--jmax", "60", "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append([(out / name).read_bytes() for name in ("report.json", "levels.txt")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") == 2 + 61**2
+
     @pytest.mark.parametrize(
         "option,message",
         [("samples = 0", "samples must be positive"),
@@ -632,12 +674,19 @@ class TestTrajectoryWriter:
         assert text == trajectory_csv_per_element(times, states)
 
 
-def formatted_per_cell(values, conv, seps):
-    """Rows of a table formatted one value at a time with the % operator."""
-    return ["".join(conv % v + sep for v, sep in zip(row, seps)) for row in values.tolist()]
+def formatted_per_cell(values, convs, seps):
+    """Rows of a table formatted one value at a time with the % operator, or
+    by indexing a column's label tuple."""
+    def cell(conv, v):
+        return conv[int(v)] if isinstance(conv, tuple) else conv % v
+
+    return ["".join(cell(conv, v) + sep for v, conv, sep in zip(row, convs, seps))
+            for row in values.tolist()]
 
 
-CONVERSIONS = ("%.12e", "%.10f")
+CONVERSIONS = ("%.12e", "%.10f", "%14.6f")
+INT_CONVERSIONS = ("%d", "%5d", "%10d")
+LABELS = ("E+", "\u00d6%s", "", "a\x00b\"")
 
 
 class TestExactFormatter:
@@ -645,6 +694,7 @@ class TestExactFormatter:
     TIES = {
         "%.12e": [1234567890123.5, 1234567890124.5, -9999999999999.5, 1000000000000.5],
         "%.10f": [2.0**-11, 3 * 2.0**-11, -(1 + 2.0**-11), 9999.00048828125],
+        "%14.6f": [2.0**-7, 3 * 2.0**-7, -(1 + 2.0**-7), 1234567 + 2.0**-7],
     }
     # Two-product scalings (|x| < 1e-10) that land on the wrong side of a
     # half-integer: only the spacing margin sends them to the % fallback.
@@ -658,13 +708,19 @@ class TestExactFormatter:
         # |x| = 1e-32 in two, integer parts below 10^4 for %.10f
         1e13, np.nextafter(1e13, 0.0), 1e12, 1e-10, np.nextafter(1e-10, 0.0), 1e-9,
         1e-32, np.nextafter(1e-32, 0.0), 1e-33, 1e4, np.nextafter(1e4, 0.0), 9999.5,
+        # %14.6f: 14 characters hold integer parts below 10^7; signed values take %
+        1e7, np.nextafter(1e7, 0.0), 9999999.9999995, 9999999.999999, -1e6,
+        np.nextafter(-1e6, 0.0), -999999.9999995, -999999.999999, 1e17, -1e17, 1e18,
+        -1e-7, 4.9999995e-7, 123456.5,
     ]
+    INTEGERS = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 12345, 10**15, 2.0**53, -1,
+                -9999, -10**12, -0.0, 2.5, 9999.5, -0.5]
 
     @pytest.mark.parametrize("conv", CONVERSIONS)
     def test_edges_match_percent(self, conv):
         values = np.array([self.TIES[conv] + self.NEAR_TIES + self.EDGES]).T
-        assert list(cli._format_table(values, conv, ["\n"])) == formatted_per_cell(
-            values, conv, ["\n"]
+        assert list(cli._format_table(values, [conv], ["\n"])) == formatted_per_cell(
+            values, [conv], ["\n"]
         )
 
     @pytest.mark.parametrize("conv", CONVERSIONS)
@@ -672,16 +728,64 @@ class TestExactFormatter:
         near = self.NEAR_TIES if conv == "%.12e" else []
         _, _, exact = cli._rounded_digits(np.array(self.TIES[conv] + near), conv)
         assert not exact.any()
-        _, _, exact = cli._rounded_digits(np.array([1.5, -0.25, 0.0, -0.0, 3e-20]), conv)
-        assert exact.all()
+        plain = [1.5, -0.25, 0.0, -0.0, 3e-20]
+        _, _, exact = cli._rounded_digits(np.array(plain), conv)
+        # %14.6f leaves every signed value, -0.0 too, to the fallback
+        assert exact.tolist() == [conv != "%14.6f" or math.copysign(1, v) > 0 for v in plain]
+
+    @pytest.mark.parametrize("conv", INT_CONVERSIONS)
+    def test_integer_columns_match_percent(self, conv):
+        values = np.array([self.INTEGERS]).T
+        assert list(cli._format_table(values, [conv], [";"])) == formatted_per_cell(
+            values, [conv], [";"]
+        )
+        _, exact = cli._cell_words(values.reshape(-1), conv)
+        assert exact.tolist() == [0 <= v < 10_000 and v == int(v) for v in self.INTEGERS]
+
+    # 8 columns: FORMAT_BLOCK_VALUES = 8 puts one row in a block, 17 two
+    @pytest.mark.parametrize("block", [8, 17, 1 << 14])
+    def test_mixed_columns_match_per_cell(self, monkeypatch, block):
+        # wide fallback texts (1e300 in %.10f and %14.6f, 10^15 in %d) next to
+        # table cells, across rows and columns of every kind
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", block)
+        rng = np.random.default_rng(7)
+        rows = 9
+        convs = ["%5d", LABELS, "%.10f", "%14.6f", "%.12e", "%d", "%10d", "%14.6f"]
+        values = np.column_stack([
+            rng.integers(0, 12_000, rows), rng.integers(0, len(LABELS), rows),
+            rng.normal(size=rows) * 10.0 ** rng.integers(-3, 12, rows),
+            rng.normal(size=rows) * 10.0 ** rng.integers(-8, 9, rows),
+            rng.normal(size=rows), rng.integers(0, 10**5, rows),
+            rng.integers(0, 10**4, rows), rng.normal(size=rows) * 1e5,
+        ]).astype(float)
+        values[2, 2:5] = 1e300
+        values[5, [0, 5, 6]] = 10**15
+        values[7, 3] = -math.inf
+        seps = [" ", "\u00d6", "", ",\n  \"x\": ", "%s", "\x00", "\n", "|"]
+        assert list(cli._format_table(values, convs, seps)) == formatted_per_cell(
+            values, convs, seps
+        )
+        text = "".join(cli._format_text(values, convs, seps))
+        assert text == "".join(formatted_per_cell(values, convs, seps))
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(), min_size=1, max_size=12), st.sampled_from(CONVERSIONS))
     def test_matches_percent_on_any_double(self, row, conv):
         values = np.array([row])
         seps = [",", "\u00d6\x00"] * 6
-        assert list(cli._format_table(values, conv, seps[: len(row)])) == formatted_per_cell(
-            values, conv, seps
+        assert list(cli._format_table(values, [conv] * len(row), seps[: len(row)])) == (
+            formatted_per_cell(values, [conv] * len(row), seps)
+        )
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(-10**16, 10**16), st.sampled_from(INT_CONVERSIONS)),
+                    min_size=1, max_size=8))
+    def test_matches_percent_on_any_integer(self, cells):
+        values = np.array([[float(v) for v, _ in cells]])
+        convs = [conv for _, conv in cells]
+        seps = [" "] * len(cells)
+        assert list(cli._format_table(values, convs, seps)) == formatted_per_cell(
+            values, convs, seps
         )
 
 
@@ -826,6 +930,26 @@ def assert_same_text(got, want):
         pytest.fail(f"texts differ, first at line {first}")
 
 
+# One entry of report.json's level list, as the % template that wrote it
+# before the level list came from the vectorized formatter.
+LEVEL_JSON = (
+    '      {\n        "j": %d,\n        "parity": "%s",\n        "index": %d,\n'
+    '        "energy": %.12e,\n        "degeneracy": %d\n      }'
+)
+
+
+def assert_level_writers_match_templates(spec, levels):
+    """levels.txt against the per-line writer, and report.json's level list
+    against LEVEL_JSON, one level at a time."""
+    assert_same_text("".join(cli._levels_text(spec, levels)), levels_text_per_line(spec, levels))
+    report = {"rotor": {"jmax": 1}}
+    entries = [LEVEL_JSON % (lv.j, lv.parity_class, lv.index, lv.energy, lv.degeneracy)
+               for lv in levels]
+    want = (emit_json_per_element(report)[: -len("\n  }\n}")] + ',\n    "levels": [\n'
+            + ",\n".join(entries) + "\n    ]\n  }\n}\n")
+    assert_same_text("".join(cli._report_json(report, levels)), want)
+
+
 def level_dict(lv):
     return {"j": lv.j, "parity": lv.parity_class, "index": lv.index,
             "energy": lv.energy, "degeneracy": lv.degeneracy}
@@ -874,10 +998,47 @@ class TestRotorWriters:
         assert json.loads(text)[self.ODD][self.ODD][1] == self.ODD
 
     def test_levels_text_matches_per_line_writer(self):
-        spec, levels, _ = self.rotor_output()
-        odd = tuple(x for lv in self.odd_levels() for x in dataclasses.astuple(lv))
-        values = cli._level_values(ro.asymmetric_levels(spec, 40)) + odd
-        assert_same_text(cli._levels_text(spec, values), levels_text_per_line(spec, levels))
+        spec = ro.classify(27.88, 14.51, 9.28)
+        levels = ro.asymmetric_levels(spec, 40)
+        energies = [-0.0, math.inf, math.nan]
+        levels = ro.RotorLevels(*(np.append(a, b) for a, b in zip(
+            (levels.j, levels.code, levels.index, levels.energy),
+            ([41] * 3, np.int8([0, 0, 3]), [0, 1, 2], energies))))
+        assert_same_text("".join(cli._levels_text(spec, levels)),
+                         levels_text_per_line(spec, levels))
+
+    # jmax 0 and 1 have empty E- blocks; FORMAT_BLOCK_VALUES = 5 puts one
+    # level in a block, 10 two and 15 three (5 values a level).
+    @pytest.mark.parametrize("block", [5, 10, 15, 10**6])
+    @pytest.mark.parametrize("jmax", [0, 1, 2, 3])
+    def test_level_writers_at_block_edges(self, monkeypatch, block, jmax):
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", block)
+        spec = ro.classify(27.88, 14.51, 9.28)
+        levels = ro.asymmetric_levels(spec, jmax)
+        assert len(levels) == (jmax + 1) ** 2
+        assert_level_writers_match_templates(spec, levels)
+
+    # Energies no rotor produces: signed zero, non-finite, wider than %14.6f's
+    # 14 characters, and %14.6f ties.
+    ODD_ENERGIES = [-0.0, math.inf, -math.inf, math.nan, 1e7, 9999999.9999995, -1e6,
+                    -999999.9999995, 1.7976931348623157e308, -5e-324, 2.0**-7, 123456.5,
+                    -9999999.25, 1e22, 0.0, 12.5]
+
+    def test_level_writers_on_odd_energies(self, monkeypatch):
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", 20)
+        spec = ro.classify(27.88, 14.51, 9.28)
+        levels = ro.asymmetric_levels(spec, 3)
+        levels = dataclasses.replace(levels, energy=np.array(self.ODD_ENERGIES))
+        assert_level_writers_match_templates(spec, levels)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.floats(), min_size=9, max_size=9),
+           st.lists(st.integers(0, 10**6), min_size=9, max_size=9))
+    def test_level_writers_on_drawn_energies(self, energies, indices):
+        spec = ro.classify(27.88, 14.51, 9.28)
+        levels = ro.asymmetric_levels(spec, 2)
+        levels = dataclasses.replace(levels, energy=np.array(energies), index=np.array(indices))
+        assert_level_writers_match_templates(spec, levels)
 
     @pytest.mark.parametrize("abc", ROTORS.values(), ids=ROTORS)
     def test_rotor_files_match_per_level_writers(self, tmp_path, abc):

@@ -132,16 +132,6 @@ class TestSolve:
                        unit_mode="natural")
         np.testing.assert_allclose(res.frequencies_cm, [-2.0, 3.0], rtol=1e-12)
 
-    def test_cubic_block_stored_not_used(self):
-        g, ff = two_mass_system()
-        cubic = np.zeros((2, 2, 2))
-        cubic[0, 0, 0] = 5.0
-        ff2 = nm.ForceField(f=ff.f, cubic=cubic)
-        res1 = nm.solve(g, ff, unit_mode="natural")
-        res2 = nm.solve(g, ff2, unit_mode="natural")
-        np.testing.assert_allclose(res1.lambdas, res2.lambdas)
-        assert ff2.cubic[0, 0, 0] == 5.0
-
 
 class TestCartesianDisplacements:
     def test_two_mass_modes_phase(self):

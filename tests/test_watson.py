@@ -269,14 +269,6 @@ class TestCoriolisConstants:
         with pytest.raises(NonOrthonormalL):
             coriolis_constants(l)
 
-    def test_tau_contraction(self, water):
-        mol, _, _, _, res = water
-        cd = coriolis_constants(res.l)
-        q = np.array([0.1, -0.2, 0.3])
-        tau = cd.tau(q)
-        expected = np.einsum("aks,k->as", cd.zeta, q)
-        np.testing.assert_allclose(tau, expected, atol=1e-15)
-
 
 class TestCoriolisBitIdentity:
     def assert_bit_identical(self, l):
