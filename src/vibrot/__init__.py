@@ -24,7 +24,6 @@ from .molecule import (
     Torsion,
     build_b_matrix,
     build_g_matrix,
-    center_of_mass_shift,
     extend_b_matrix,
     inertia,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "asymmetric_levels",
     "build_b_matrix",
     "build_g_matrix",
-    "center_of_mass_shift",
     "classify",
     "extend_b_matrix",
     "inertia",

@@ -14,7 +14,8 @@ The input is a single keyed text file with bracketed sections:
                             samples x coordinates <= TRAJECTORY_VALUES_MAX)
 
 Every number must be finite; nan, inf and overflowing literals are parse
-errors.
+errors.  [molecule], [rotor] and [dynamics] take only the keys above, each at
+most once; an unknown or repeated key is a parse error.
 
 Options: --units natural|cm; --jmax N with (N + 1)^2 <= ROTOR_LEVELS_MAX
 levels, so N <= 999; --frames N with at most XYZ_VALUES_MAX modes.xyz values
@@ -178,13 +179,21 @@ def _split_sections(text: str):
     return sections
 
 
-def _parse_keyed(lines, section: str):
+def _parse_keyed(lines, section: str, keys: tuple):
+    """{key: (line number, value text)}; each key one of `keys`, at most once."""
     out = {}
     for lineno, line in lines:
         if "=" not in line:
             raise ParseError(lineno, f"expected key = value in [{section}]")
         key, _, value = line.partition("=")
-        out[key.strip().lower()] = (lineno, value.strip())
+        key = key.strip().lower()
+        if key not in keys:
+            raise ParseError(
+                lineno, f"unknown key {key!r} in [{section}]; expected one of " + ", ".join(keys)
+            )
+        if key in out:
+            raise ParseError(lineno, f"repeated key {key!r} in [{section}]")
+        out[key] = (lineno, value.strip())
     return out
 
 
@@ -332,7 +341,7 @@ def parse_input(path) -> ParsedInput:
 
     dim = 3
     if "molecule" in sections:
-        keyed = _parse_keyed(sections["molecule"], "molecule")
+        keyed = _parse_keyed(sections["molecule"], "molecule", ("dimensionality",))
         if "dimensionality" in keyed:
             lineno, value = keyed["dimensionality"]
             if value not in ("1", "2", "3"):
@@ -352,7 +361,7 @@ def parse_input(path) -> ParsedInput:
 
     rotor_spec = None
     if "rotor" in sections:
-        keyed = _parse_keyed(sections["rotor"], "rotor")
+        keyed = _parse_keyed(sections["rotor"], "rotor", ("a", "b", "c"))
         consts = {}
         for key in ("a", "b", "c"):
             if key not in keyed:
@@ -367,7 +376,9 @@ def parse_input(path) -> ParsedInput:
     initial = None
     dyn_options = {"t_end": 10.0, "samples": 201}
     if "dynamics" in sections:
-        keyed = _parse_keyed(sections["dynamics"], "dynamics")
+        keyed = _parse_keyed(
+            sections["dynamics"], "dynamics", ("kappa", "beta", "t_end", "samples")
+        )
         for key in ("kappa", "beta"):
             if key not in keyed:
                 raise ValidationError(f"[dynamics] section needs {key} =")
@@ -848,17 +859,14 @@ def run(job: JobSpec) -> int:
             )
         if "dynamics" in job.tasks and parsed.initial_conditions is None:
             raise ValidationError("dynamics task requires a [dynamics] section")
-        inertia = None
         if "watson-diagnostics" in job.tasks:
             if mol.dimensionality != 3:
                 raise ValidationError("watson-diagnostics requires a 3-dimensional molecule")
-            inertia = mo.inertia(mol)
-            if math.inf in inertia.rotational_constants:
+            if math.inf in mo.inertia(mol).rotational_constants:
                 raise ValidationError("watson-diagnostics requires a nonlinear molecule")
         spec = parsed.rotor_spec
         if "rotor" in job.tasks and spec is None:
-            inertia = inertia or mo.inertia(mol)
-            spec = ro.rotor_spec_from_inertia(inertia.rotational_constants)
+            spec = ro.rotor_spec_from_inertia(mo.inertia(mol).rotational_constants)
             if spec is None:
                 raise ValidationError("no [rotor] section and the molecular inertia is degenerate")
         job.output_dir.mkdir(parents=True, exist_ok=True)

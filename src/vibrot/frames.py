@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .molecule import Molecule
+from .molecule import Molecule, inertia
 from .quadform import DimensionMismatch
 
 GIMBAL_TOL = 1e-10
@@ -290,7 +290,7 @@ def _eckart_profile_matrix(ref_mw: np.ndarray, cur_mw: np.ndarray) -> np.ndarray
 
 def eckart_residual(mol: Molecule, geometry: np.ndarray) -> float:
     """Norm of sum_i m_i a_i x rho_i for a COM-frame geometry (amu Angstrom^2)."""
-    ref = mol.positions - mol.center_of_mass()
+    ref = inertia(mol).com_positions
     cur = np.asarray(geometry, dtype=float).reshape(mol.natoms, 3)
     cross = np.cross(ref, cur - ref)
     return float(np.linalg.norm((mol.masses[:, None] * cross).sum(axis=0)))
@@ -309,7 +309,7 @@ def eckart_rotate(mol: Molecule, displaced_geometry) -> tuple:
     if mol.dimensionality != 3:
         raise FramesError("Eckart embedding requires a 3-dimensional molecule")
     cur = np.asarray(displaced_geometry, dtype=float).reshape(mol.natoms, 3)
-    ref = mol.positions - mol.center_of_mass()
+    ref = inertia(mol).com_positions
     masses = mol.masses
     com = masses @ cur / masses.sum()
     cur = cur - com

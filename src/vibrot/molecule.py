@@ -6,12 +6,19 @@ Angstrom, masses in amu.  A molecule may be declared 1-, 2- or
 3-dimensional; lower dimensionalities restrict the active Cartesian axes
 (x, then x,y), which is how desk-scale one-dimensional fixtures are
 expressed.
+
+inertia(mol) is the one equilibrium frame: the geometry about the centre of
+mass, I0 with its principal moments and right-handed axes, the mass-weighted
+rotation rows R and the pseudo-inverse of I0.  It is computed once per
+Molecule, and B's frame rows, the Watson diagnostics, the Eckart embedding
+and the CLI all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -102,6 +109,11 @@ class Molecule:
     def center_of_mass(self) -> np.ndarray:
         m = self.masses
         return m @ self.positions / m.sum()
+
+    @cached_property
+    def _inertia(self) -> "InertiaData":
+        # the atoms are immutable, so the frame never goes stale
+        return _equilibrium_frame(self)
 
 
 # -- internal coordinate kinds ------------------------------------------------
@@ -228,10 +240,16 @@ class MassMatrix:
 
 @dataclass(frozen=True, eq=False)
 class InertiaData:
-    tensor: np.ndarray              # 3x3, amu Angstrom^2, about the COM
+    """The equilibrium frame: origin at the centre of mass, axes along the
+    principal axes of I0.  Every array is read-only."""
+
+    tensor: np.ndarray              # I0, 3x3, amu Angstrom^2, about the COM
     principal_moments: np.ndarray   # ascending
     principal_axes: np.ndarray      # columns, right-handed
     rotational_constants: tuple     # (A, B, C) cm^-1 descending, inf if moment ~ 0
+    com_positions: np.ndarray       # (N, 3) Angstrom, about the COM
+    rotation_rows: np.ndarray       # (r, N, 3): m_i (n x r_i) / sqrt(I_n), one per nonzero moment
+    tensor_pinv: np.ndarray         # inverse of I0 on its nonzero moments
 
 
 # -- B matrix construction ----------------------------------------------------
@@ -337,27 +355,6 @@ def build_b_matrix(mol: Molecule, ics: InternalCoordinateSet) -> BMatrix:
     return BMatrix(rows=rows, kinds=("internal",) * len(ics))
 
 
-def _rotation_rows(mol: Molecule, pos_com: np.ndarray) -> list:
-    """Mass-metric-orthonormal rotation rows about the principal axes.
-
-    Per axis n with principal moment I_n, the row carries m_i (n x r_i)
-    scaled by I_n^{-1/2}; axes with vanishing moment (linear molecules)
-    contribute no row.
-    """
-    masses = mol.masses
-    tensor = _inertia_tensor(masses, pos_com)
-    moments, axes = np.linalg.eigh(tensor)
-    scale = max(moments.max(), 1e-300)
-    out = []
-    for v in range(3):
-        if moments[v] <= ZERO_INERTIA_RTOL * scale:
-            continue
-        n_axis = axes[:, v]
-        row3 = (masses[:, None] * np.cross(n_axis, pos_com)) / math.sqrt(moments[v])
-        out.append(row3)
-    return out
-
-
 def extend_b_matrix(b: BMatrix, mol: Molecule) -> BMatrix:
     """Append translation (and, in 2D/3D, rotation) rows to an internal B.
 
@@ -383,8 +380,7 @@ def extend_b_matrix(b: BMatrix, mol: Molecule) -> BMatrix:
         kinds.append("translation")
 
     if d >= 2:
-        pos_com = mol.positions - mol.center_of_mass()
-        for row3 in _rotation_rows(mol, pos_com):
+        for row3 in inertia(mol).rotation_rows:
             r = row3[:, :d].reshape(-1)
             if np.linalg.norm(r) <= 1e-12:
                 continue
@@ -420,39 +416,40 @@ def _inertia_tensor(masses: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def inertia(mol: Molecule) -> InertiaData:
-    """Inertia tensor about the center of mass and rotational constants.
+    """The equilibrium frame of the molecule, computed once per Molecule.
 
-    Constants are kappa / I with kappa = h / (8 pi^2 c) expressed in
-    cm^-1 amu Angstrom^2; a vanishing principal moment reports an infinite
-    constant rather than an error.
+    The origin is the centre of mass and the axes are the right-handed
+    principal axes of I0, the frame of the Eckart-Watson Hamiltonian.  A
+    moment at or below ZERO_INERTIA_RTOL of the largest counts as zero: it
+    has no rotation row, no pseudo-inverse entry and an infinite rotational
+    constant.  The constants are kappa / I with kappa = h / (8 pi^2 c) in
+    cm^-1 amu Angstrom^2.
     """
+    return mol._inertia
+
+
+def _equilibrium_frame(mol: Molecule) -> InertiaData:
+    masses = mol.masses
     pos = mol.positions - mol.center_of_mass()
-    tensor = _inertia_tensor(mol.masses, pos)
+    tensor = _inertia_tensor(masses, pos)
     moments, axes = np.linalg.eigh(tensor)
     moments = np.clip(moments, 0.0, None)
     if np.linalg.det(axes) < 0:
-        axes = axes.copy()
         axes[:, -1] = -axes[:, -1]
-    scale = max(moments.max(), 1e-300)
-    consts = []
-    for mom in moments:
-        if mom <= ZERO_INERTIA_RTOL * scale:
-            consts.append(math.inf)
-        else:
-            consts.append(constants.ROTATIONAL_CM / mom)
-    consts = tuple(sorted(consts, reverse=True))
+    nonzero = moments > ZERO_INERTIA_RTOL * max(moments.max(), 1e-300)
+    inv = np.divide(1.0, moments, out=np.zeros(3), where=nonzero)
+    consts = np.divide(constants.ROTATIONAL_CM, moments, out=np.full(3, math.inf), where=nonzero)
+    rows = masses[:, None] * np.cross(axes.T[nonzero, None], pos)
+    rows /= np.sqrt(moments[nonzero])[:, None, None]
+    pinv = (axes * inv) @ axes.T
+    for arr in (tensor, moments, axes, pos, rows, pinv):
+        arr.flags.writeable = False
     return InertiaData(
         tensor=tensor,
         principal_moments=moments,
         principal_axes=axes,
-        rotational_constants=consts,
+        rotational_constants=tuple(sorted(consts, reverse=True)),
+        com_positions=pos,
+        rotation_rows=rows,
+        tensor_pinv=pinv,
     )
-
-
-def center_of_mass_shift(mol: Molecule) -> Molecule:
-    """Translate the geometry so that sum(m_i r_i) = 0."""
-    com = mol.center_of_mass()
-    atoms = tuple(
-        Atom(a.label, a.mass, tuple(np.asarray(a.position) - com)) for a in mol.atoms
-    )
-    return Molecule(atoms=atoms, dimensionality=mol.dimensionality)

@@ -23,7 +23,9 @@ mass.  Rule 2, sum_k a_k^ab a_k^gd = c^ab (1 - R R^T) c^gd, and rule 3,
 sum_n zeta^g_kn a_n^ab = l_k^T E_g (1 - R R^T) c^ab with E_g the per-atom
 cross product's g component, are therefore identities for Eckart modes.
 Each term of rule 1 is one (3n x 3n) BLAS product: its max-abs residual
-moves only at roundoff with the summation order.
+moves only at roundoff with the summation order.  The geometry about the
+centre of mass, I0, R and the pseudo-inverse of I0 all come from the
+equilibrium frame molecule.inertia(mol).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import constants
-from .molecule import Molecule, _inertia_tensor, _rotation_rows
+from .molecule import Molecule, inertia
 from .quadform import DimensionMismatch
 
 ORTHONORMAL_TOL = 1e-8
@@ -186,7 +188,7 @@ def coriolis_constants(l: np.ndarray) -> CoriolisData:
 def _inertia_gradient(mol: Molecule) -> np.ndarray:
     """c[(alpha, beta), (i, t)] = sqrt(m_i) (2 d_ab r_it - d_bt r_ia - d_at r_ib),
     r about the centre of mass, so that a_k^{alpha beta} = c[(alpha, beta)] l_k."""
-    r = (mol.positions - mol.center_of_mass()) * np.sqrt(mol.masses)[:, None]
+    r = inertia(mol).com_positions * np.sqrt(mol.masses)[:, None]
     c = np.zeros((3, 3, mol.natoms, 3))
     for t in range(3):
         c[t, t] += 2.0 * r
@@ -220,10 +222,9 @@ def inertia_expansion(
     a_coeff, when given, is interaction_coefficients(mol, l) computed
     already (for example CoriolisData.a_coeff) and is used as it is.
     """
-    i0 = _inertia_tensor(mol.masses, mol.positions - mol.center_of_mass())
     if a_coeff is None:
         a_coeff = interaction_coefficients(mol, l)
-    return InertiaExpansion(i0=i0, a_coeff=a_coeff)
+    return InertiaExpansion(i0=inertia(mol).tensor, a_coeff=a_coeff)
 
 
 def watson_u(ie: InertiaExpansion, q, unit_mode: str = "cm") -> float:
@@ -239,15 +240,6 @@ def watson_u(ie: InertiaExpansion, q, unit_mode: str = "cm") -> float:
         # hbar^2 / (8 h c) = (1/4) h / (8 pi^2 c)
         return -(constants.ROTATIONAL_CM / 4.0) * trace_mu
     raise ValueError(f"unknown unit mode {unit_mode!r}")
-
-
-def _inertia_pinv(i0: np.ndarray) -> np.ndarray:
-    """Inverse of I0 on its nonsingular principal subspace."""
-    vals, vecs = np.linalg.eigh(i0)
-    keep = vals > SINGULAR_TOL * max(vals.max(), 1e-300)
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
-    return (vecs * inv) @ vecs.T
 
 
 def sum_rule_residuals(
@@ -267,9 +259,7 @@ def sum_rule_residuals(
     a = cd.a_coeff if cd.a_coeff is not None else interaction_coefficients(mol, l)
     zeta = cd.zeta
     n = shaped.shape[2]
-
-    pos = mol.positions - mol.center_of_mass()
-    i0_inv = _inertia_pinv(_inertia_tensor(mol.masses, pos))
+    frame = inertia(mol)
 
     # rule 1: sum_n zeta[a,k,n] zeta[b,l,n]
     #         = d_ab d_kl - sum_i l[b,i,k] l[a,i,l] - (1/4) a_k (I0)^-1 a_l,
@@ -279,15 +269,14 @@ def sum_rule_residuals(
     resid1 = (z @ z.T).reshape(3, n, 3, n)
     # the overlap's axis indices are crossed: (a, k, b, l) sits at [b, k, a, l]
     resid1 += (flat.T @ flat).reshape(3, n, 3, n).transpose(2, 1, 0, 3)
-    inertia = (a @ i0_inv).reshape(3 * n, 3) @ a.transpose(1, 0, 2).reshape(3, 3 * n)
-    resid1 += 0.25 * inertia.reshape(n, 3, n, 3).transpose(1, 0, 3, 2)
+    i0_term = (a @ frame.tensor_pinv).reshape(3 * n, 3) @ a.transpose(1, 0, 2).reshape(3, 3 * n)
+    resid1 += 0.25 * i0_term.reshape(n, 3, n, 3).transpose(1, 0, 3, 2)
     resid1.reshape(3 * n, 3 * n)[np.diag_indices(3 * n)] -= 1.0
     rule1 = _maxabs(resid1)
 
     c = _inertia_gradient(mol)
     # R: orthonormal mass-weighted rotations, 2 for a linear molecule
-    sqm = np.sqrt(mol.masses)[:, None]
-    rot = np.reshape([row / sqm for row in _rotation_rows(mol, pos)], (-1, 3 * mol.natoms)).T
+    rot = (frame.rotation_rows / np.sqrt(mol.masses)[:, None]).reshape(-1, 3 * mol.natoms).T
     vib = c.T - rot @ (rot.T @ c.T)  # (1 - R R^T) c^T
     a9 = a.reshape(n, 9)
 
@@ -311,10 +300,9 @@ def eckart_conditions_check(mol: Molecule, l: np.ndarray) -> EckartResiduals:
     |sum_i sqrt(m_i) (r0_ia l_bik - r0_ib l_aik)|.
     """
     shaped = _shaped_l(mol, l)
-    pos = mol.positions - mol.center_of_mass()
     sqm = np.sqrt(mol.masses)
     trans_vec = np.einsum("i,iak->ak", sqm, shaped)
     translational = np.linalg.norm(trans_vec, axis=0)
-    s = np.einsum("i,ia,ibk->abk", sqm, pos, shaped)
+    s = np.einsum("i,ia,ibk->abk", sqm, inertia(mol).com_positions, shaped)
     rotational = np.abs(s - s.transpose(1, 0, 2)).max(axis=(0, 1))
     return EckartResiduals(translational=translational, rotational=rotational)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -151,7 +152,13 @@ cart 2 x
          ("[dynamics]\nkappa = nan\nbeta = 0.0\n", 13),
          ("[dynamics]\nkappa = 0.1\nbeta = -inf\n", 14),
          ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nt_end = inf\n", 15),
-         ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nsamples = 2.7\n", 15)],
+         ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nsamples = 2.7\n", 15),
+         ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nsample = 7\n", 15),
+         ("[dynamics]\nkappa = 0.1\nbeta = 0.0\nkappa = 0.2\n", 15),
+         ("[rotor]\na = 3.0\na = 9.0\nb = 2.0\nc = 1.0\n", 14),
+         ("[rotor]\na = 3.0\nb = 2.0\nc = 1.0\nd = 0.5\n", 16),
+         ("[molecule]\ndimension = 3\n", 13),
+         ("[molecule]\ndimensionality = 3\ndimensionality = 1\n", 14)],
     )
     def test_bad_rotor_and_dynamics_numbers_rejected(self, tmp_path, section, bad):
         path = write_input(tmp_path, MINIMAL + "\n" + section)
@@ -500,6 +507,23 @@ beta = 0.0 0.0
              "modes,watson-diagnostics", "--out", str(tmp_path)]
         )
         assert code == 0 and len(calls) == 1
+
+    def test_watson_rotor_job_makes_two_eighs(self, tmp_path, monkeypatch):
+        # one of I0 for the equilibrium frame, read by every layer, and one
+        # of W in the GF solve
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        code = cli.main(
+            ["analyze", str(FIXTURES / "water.inp"), "--tasks",
+             "modes,watson-diagnostics,rotor", "--out", str(tmp_path)]
+        )
+        assert code == 0 and len(calls) == 2
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -1070,3 +1094,147 @@ class TestRotorWriters:
         for s in ("", "plain", 'say "hi"', "a\\b", "tab\t", self.ODD,
                   "".join(map(chr, range(0x90)))):
             assert cli._json_escape(s) == json_escape_per_char(s)
+
+
+# -- the command-line contract under drawn inputs ------------------------------
+
+CHAIN_ATOMS = (("C", 12.0), ("N", 14.003074), ("O", 15.994915), ("F", 18.998403),
+               ("S", 31.972071))
+EXTREME_NUMBERS = ("1e308", "-1e308", "1e200", "-1e200", "1e-300", "5e-324", "0", "-0.0",
+                   "1e16", "1e999", "nan", "inf")
+# (kind, two indices taken modulo the line or token count, a replacement number)
+MUTATIONS = st.tuples(st.sampled_from(("delete", "swap", "extreme")), st.integers(0, 10**6),
+                      st.integers(0, 10**6), st.sampled_from(EXTREME_NUMBERS))
+# the string fields of report.json; every other string is a non-finite float
+REPORT_LABELS = ("input", "tasks", "unit_mode", "classification", "parity")
+
+
+def chain_input(natoms, seed, dynamics, rotor):
+    """A valid Z-matrix chain: atom k is bonded to k-1, bent at k-1 against k-2
+    and twisted about (k-2, k-1) against k-3, which gives the 3N-6 coordinates of
+    a nonlinear molecule.  Each coordinate couples to its list neighbours by at
+    most a tenth of their diagonal entries' geometric mean, so F > 0."""
+    rng = np.random.default_rng(seed)
+    bonds = rng.uniform(1.3, 1.6, natoms)
+    angles = np.radians(rng.uniform(100.0, 130.0, natoms))
+    dihedrals = np.radians(rng.choice([180.0, 60.0, -60.0], natoms) + rng.normal(0.0, 10.0, natoms))
+    pos = np.zeros((natoms, 3))
+    pos[1, 0] = bonds[1]
+    pos[2] = pos[1] + bonds[2] * np.array([-math.cos(angles[2]), math.sin(angles[2]), 0.0])
+    for k in range(3, natoms):
+        a, b, c = pos[k - 3 : k]
+        bc = (c - b) / np.linalg.norm(c - b)
+        n = np.cross(b - a, bc)
+        n /= np.linalg.norm(n)
+        t, p = angles[k], dihedrals[k]
+        pos[k] = c + bonds[k] * (-math.cos(t) * bc + math.sin(t)
+                                 * (math.cos(p) * np.cross(n, bc) + math.sin(p) * n))
+    coords = []
+    for k in range(2, natoms + 1):
+        coords.append(f"stretch {k - 1} {k}")
+        if k >= 3:
+            coords.append(f"bend {k - 2} {k - 1} {k}")
+        if k >= 4:
+            coords.append(f"torsion {k - 3} {k - 2} {k - 1} {k}")
+    n = len(coords)
+    diag = rng.uniform(0.5, 8.0, n)
+    off = rng.uniform(-0.1, 0.1, n - 1) * np.sqrt(diag[:-1] * diag[1:])
+    lines = ["[molecule]", "dimensionality = 3", "[atoms]"]
+    for k, p in zip(rng.integers(len(CHAIN_ATOMS), size=natoms), pos):
+        lines.append("%s %r %.10f %.10f %.10f" % (*CHAIN_ATOMS[k], *p))
+    lines += ["[internal_coordinates]", *coords, "[force_constants]", f"{diag[0]:.6f}"]
+    lines += [" ".join(["0"] * (i - 1) + [f"{off[i - 1]:.6f}", f"{diag[i]:.6f}"])
+              for i in range(1, n)]
+    if dynamics:
+        lines += ["[dynamics]",
+                  "kappa = " + " ".join(f"{v:.6f}" for v in rng.uniform(-0.02, 0.02, n)),
+                  "beta = " + " ".join(f"{v:.6f}" for v in rng.uniform(-0.01, 0.01, n)),
+                  "t_end = 10.0", "samples = 11"]
+    if rotor:
+        lines += ["[rotor]"] + [f"{k} = {v:.6f}" for k, v in
+                                zip("abc", sorted(rng.uniform(0.5, 10.0, 3), reverse=True))]
+    return "\n".join(lines) + "\n"
+
+
+def mutate(text, mutations):
+    """Apply (kind, i, j, number) edits: delete line i, swap tokens i and j,
+    or put the number in place of numeric token i."""
+    rows = [line.split() for line in text.splitlines()]
+    for kind, i, j, number in mutations:
+        if kind == "delete":
+            del rows[i % len(rows)]
+            continue
+        tokens = [(r, c) for r, row in enumerate(rows) for c, tok in enumerate(row)
+                  if kind == "swap" or re.fullmatch(r"[-+0-9.e]+", tok)]
+        (r1, c1), (r2, c2) = tokens[i % len(tokens)], tokens[j % len(tokens)]
+        if kind == "swap":
+            rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
+        else:
+            rows[r1][c1] = number
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def output_numbers(path):
+    """The numbers an output file holds, read by its format.  Labels, which
+    may spell inf or nan, are skipped."""
+    lines = path.read_text().splitlines()
+    if path.name == "report.json":
+        def walk(obj, key):
+            if isinstance(obj, dict):
+                for k, v in obj.items():
+                    yield from walk(v, k)
+            elif isinstance(obj, list):
+                for v in obj:
+                    yield from walk(v, key)
+            elif obj is not None and not (isinstance(obj, str) and key in REPORT_LABELS):
+                yield float(obj)  # emit_json writes a non-finite float as a string
+
+        return list(walk(json.loads("\n".join(lines)), None))
+    if path.name == "trajectory.csv":
+        return [float(v) for line in lines[1:] for v in line.split(",")]
+    if path.name == "levels.txt":
+        header = [float(w.split("=")[1]) for w in lines[0].split() if "=" in w]
+        return header + [float(v) for line in lines[2:]
+                         for k, v in enumerate(line.split()) if k != 1]
+    assert path.name == "modes.xyz"
+    natoms = int(lines[0])
+    numbers = []
+    for start in range(0, len(lines), natoms + 2):
+        numbers += [float(w.split("=")[1]) for w in lines[start + 1].split()]
+        numbers += [float(v) for line in lines[start + 2 : start + 2 + natoms]
+                    for v in line.split()[1:]]
+    return numbers
+
+
+class TestCliContract:
+    """On any input, cli.main returns 0, 2 or 3 and raises nothing; exit 0
+    writes only finite numbers, and a failed run leaves no output behind."""
+
+    @settings(max_examples=60)
+    @given(
+        natoms=st.integers(3, 6),
+        seed=st.integers(0, 2**32 - 1),
+        dynamics=st.booleans(),
+        rotor=st.booleans(),
+        tasks=st.sets(st.sampled_from(cli.TASKS), min_size=1),
+        units=st.sampled_from(cli.UNIT_MODES),
+        mutations=st.lists(MUTATIONS, max_size=2),
+    )
+    def test_drawn_chains_keep_the_contract(
+        self, natoms, seed, dynamics, rotor, tasks, units, mutations
+    ):
+        text = mutate(chain_input(natoms, seed, dynamics, rotor), mutations)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_input(Path(tmp), text)
+            out = Path(tmp) / "out"
+            code = cli.main(["analyze", str(path), "--tasks", ",".join(sorted(tasks)),
+                             "--units", units, "--frames", "3", "--jmax", "3",
+                             "--out", str(out)])
+            assert code in (0, 2, 3)
+            written = sorted(out.iterdir()) if out.exists() else []
+            if code:
+                assert written == []
+            else:
+                assert "report.json" in [p.name for p in written]
+                for p in written:
+                    assert np.isfinite(output_numbers(p)).all(), p.name

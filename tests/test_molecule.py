@@ -333,20 +333,69 @@ class TestCenterOfMass:
         mol = Molecule.from_lists(
             ["A", "B"], [1.0, 1.0], [[1.0, 0, 0], [-1.0, 0, 0]]
         )
-        out = mo.center_of_mass_shift(mol)
-        np.testing.assert_allclose(out.positions, mol.positions, atol=1e-15)
+        out = mo.inertia(mol).com_positions
+        np.testing.assert_allclose(out, mol.positions, atol=1e-15)
 
     def test_two_equal_masses(self):
         mol = Molecule.from_lists(
             ["A", "B"], [2.0, 2.0], [[0.0, 0, 0], [2.0, 0, 0]]
         )
-        out = mo.center_of_mass_shift(mol)
-        np.testing.assert_allclose(out.positions[:, 0], [-1.0, 1.0], atol=1e-15)
+        out = mo.inertia(mol).com_positions
+        np.testing.assert_allclose(out[:, 0], [-1.0, 1.0], atol=1e-15)
 
     def test_random_molecule_com_vanishes(self, rng):
         mol = Molecule.from_lists(
             ["A", "B", "C"], [1.0, 2.7, 0.3], rng.normal(size=(3, 3))
         )
-        out = mo.center_of_mass_shift(mol)
-        com_norm = np.linalg.norm(out.masses @ out.positions)
+        out = mo.inertia(mol).com_positions
+        com_norm = np.linalg.norm(mol.masses @ out)
         assert com_norm < 1e-12
+
+
+def frame_molecules():
+    """Water, a diatomic along x (two equal moments mu r^2 = 0.96) and a
+    single atom (no nonzero moment)."""
+    return {
+        "water": water_molecule(),
+        "diatomic": Molecule.from_lists(["A", "B"], [1.0, 2.0], [[0.3, 0, 0], [1.5, 0, 0]]),
+        "atom": Molecule.from_lists(["X"], [12.0], [[0.0, 0.0, 0.0]]),
+    }
+
+
+class TestEquilibriumFrame:
+    def test_computed_once_per_molecule(self):
+        mol = water_molecule()
+        assert mo.inertia(mol) is mo.inertia(mol)
+        assert mo.inertia(water_molecule()) is not mo.inertia(mol)
+
+    def test_arrays_are_read_only(self):
+        data = mo.inertia(water_molecule())
+        for name in ("tensor", "principal_moments", "principal_axes", "com_positions",
+                     "rotation_rows", "tensor_pinv"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(data, name)[0] = 1.0
+
+    @pytest.mark.parametrize("kind,count", [("water", 3), ("diatomic", 2), ("atom", 0)])
+    def test_rotation_rows_orthonormal_in_inverse_mass_metric(self, kind, count):
+        mol = frame_molecules()[kind]
+        rows = mo.inertia(mol).rotation_rows
+        assert rows.shape == (count, mol.natoms, 3)
+        # rotations about the centre of mass carry no momentum
+        np.testing.assert_allclose(rows.sum(axis=1), 0.0, atol=1e-12)
+        flat = rows.reshape(count, 3 * mol.natoms)
+        inv_mass = np.repeat(1.0 / mol.masses, 3)
+        np.testing.assert_allclose((flat * inv_mass) @ flat.T, np.eye(count), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind,expected",
+        [("water", None), ("diatomic", np.diag([0.0, 1 / 0.96, 1 / 0.96])),
+         ("atom", np.zeros((3, 3)))],
+    )
+    def test_pseudo_inverse(self, kind, expected):
+        data = mo.inertia(frame_molecules()[kind])
+        if expected is None:
+            expected = np.linalg.inv(data.tensor)
+        np.testing.assert_allclose(data.tensor_pinv, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max(initial=0.0))
+        if kind == "atom":
+            assert not data.tensor_pinv.any()
