@@ -24,17 +24,19 @@ levels.txt, trajectory.csv as requested by the task list.  report.json has a
 fixed field order and %.12e float formatting.  The bytes of every output are
 deterministic for one numpy/BLAS build and BLAS thread count; the rotor-only
 outputs do not depend on the thread count.
-modes.xyz, trajectory.csv and report.json's rotor level list are streamed
-to disk in chunks, not built as one string first.  The tables of
-modes.xyz (%.10f), trajectory.csv, levels.txt, report.json's float arrays
-and its level list come from an exact vectorized formatter (_format_table)
-that falls back to % for every value it cannot prove; the bytes are those of
-% formatting.
+The tasks are a table (_TASKS) in the paper's order: modes, dynamics,
+watson-diagnostics, rotor.  run() checks every selected task, then runs
+them in table order, whatever the order of --tasks, and writes report.json
+last.  Every output is streamed to a binary file in UTF-8 chunks.  Its
+tables come from an exact vectorized formatter (_format_table) that falls
+back to % for every value it cannot prove; the bytes are those of %.
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
 on failure every output file of the run is removed, also one that failed
 midway.  A task the input cannot run (dynamics without [dynamics],
 watson-diagnostics on a linear or non-3-D molecule, rotor without [rotor]
 and with degenerate inertia) exits 2 before anything is solved or written.
+numpy's floating-point warnings are off during a job: a non-finite result
+is refused by a check instead.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ from . import normalmodes as nm
 from . import rotor as ro
 from . import watson as wa
 from .quadform import QuadformError, SymMatrix
-
-TASKS = ("modes", "dynamics", "rotor", "watson-diagnostics")
 
 # Relative asymmetry of a full-square [force_constants] block: beyond
 # F_SYMMETRY_REJECT it is an error, above F_SYMMETRY_WARN it is symmetrized
@@ -120,9 +120,7 @@ class JobSpec:
             raise ValidationError("at least one task is required")
         for t in tasks:
             if t not in TASKS:
-                raise ValidationError(
-                    f"unknown task {t!r}; choose from {', '.join(TASKS)}"
-                )
+                raise ValidationError(f"unknown task {t!r}; choose from {', '.join(TASKS)}")
         self.tasks = tasks
         if self.unit_mode not in UNIT_MODES:
             raise ValidationError(f"unit mode must be one of {', '.join(UNIT_MODES)}")
@@ -142,14 +140,7 @@ class JobSpec:
 # -- input parsing -------------------------------------------------------------
 
 
-_SECTIONS = (
-    "molecule",
-    "atoms",
-    "internal_coordinates",
-    "force_constants",
-    "rotor",
-    "dynamics",
-)
+_SECTIONS = ("molecule", "atoms", "internal_coordinates", "force_constants", "rotor", "dynamics")
 
 
 def _split_sections(text: str):
@@ -244,25 +235,21 @@ def _atom_index(lineno: int, token: str, natoms: int) -> int:
     return idx - 1
 
 
+# The internal coordinates given by atoms: keyword -> (class, atom count).
+_ATOM_COORDINATES = {"stretch": (mo.BondStretch, 2), "bend": (mo.AngleBend, 3),
+                     "torsion": (mo.Torsion, 4)}
+
+
 def _parse_internal_coordinates(lines, natoms: int, ncart: int, dim: int):
     coords = []
     for lineno, line in lines:
         toks = line.split()
         kind = toks[0].lower()
         args = toks[1:]
+        cls, count = _ATOM_COORDINATES.get(kind, (None, None))
         try:
-            if kind == "stretch" and len(args) == 2:
-                coords.append(
-                    mo.BondStretch(*(_atom_index(lineno, a, natoms) for a in args))
-                )
-            elif kind == "bend" and len(args) == 3:
-                coords.append(
-                    mo.AngleBend(*(_atom_index(lineno, a, natoms) for a in args))
-                )
-            elif kind == "torsion" and len(args) == 4:
-                coords.append(
-                    mo.Torsion(*(_atom_index(lineno, a, natoms) for a in args))
-                )
+            if len(args) == count:
+                coords.append(cls(*(_atom_index(lineno, a, natoms) for a in args)))
             elif kind == "cart" and len(args) == 2:
                 axis = _AXES.get(args[1].lower())
                 if axis is None or axis >= dim:
@@ -354,31 +341,28 @@ def parse_input(path) -> ParsedInput:
     except mo.MoleculeError as exc:
         raise ValidationError(str(exc)) from exc
 
-    ics = _parse_internal_coordinates(
-        sections["internal_coordinates"], molecule.natoms, molecule.ncart, dim
-    )
+    ics = _parse_internal_coordinates(sections["internal_coordinates"], molecule.natoms,
+                                      molecule.ncart, dim)
     force_field = _parse_force_constants(sections["force_constants"], len(ics))
 
     rotor_spec = None
     if "rotor" in sections:
         keyed = _parse_keyed(sections["rotor"], "rotor", ("a", "b", "c"))
-        consts = {}
+        consts = []
         for key in ("a", "b", "c"):
             if key not in keyed:
                 raise ValidationError(f"[rotor] section needs {key} =")
-            lineno, value = keyed[key]
-            consts[key] = _scalar(lineno, value)
+            consts.append(_scalar(*keyed[key]))
         try:
-            rotor_spec = ro.classify(consts["a"], consts["b"], consts["c"])
+            rotor_spec = ro.classify(*consts)
         except ro.RotorError as exc:
             raise ValidationError(str(exc)) from exc
 
     initial = None
     dyn_options = {"t_end": 10.0, "samples": 201}
     if "dynamics" in sections:
-        keyed = _parse_keyed(
-            sections["dynamics"], "dynamics", ("kappa", "beta", "t_end", "samples")
-        )
+        keys = ("kappa", "beta", "t_end", "samples")
+        keyed = _parse_keyed(sections["dynamics"], "dynamics", keys)
         for key in ("kappa", "beta"):
             if key not in keyed:
                 raise ValidationError(f"[dynamics] section needs {key} =")
@@ -412,9 +396,10 @@ def parse_input(path) -> ParsedInput:
 
 # -- exact float formatting ----------------------------------------------------
 
-# Most values one _format_table block holds (at least one row is taken): the
-# byte buffers of a block stay at a few MB, whatever the size of the table.
-FORMAT_BLOCK_VALUES = 1 << 14
+# Most values one _format_table block holds (at least one row is taken): a
+# block and its temporaries stay near 1 MB, whatever the size of the table.
+# Blocks of 2^14 values took twice the memory and were no faster.
+FORMAT_BLOCK_VALUES = 1 << 13
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**k < 2**53 for k <= 22
 
@@ -556,29 +541,24 @@ def _cell_words(values: np.ndarray, conv):
 
 
 def _format_table(values: np.ndarray, convs, seps):
-    """Row strings of a (rows, cols) float table, column c formatted by convs[c].
+    """UTF-8 rows of a (rows, cols) float table, column c formatted by convs[c].
 
     A conversion is "%.12e", "%.10f" or "%14.6f"; "%d" or "%<width>d" for a
     column of integers; or a tuple of labels, which the column's values
     index.  seps holds one string per column, written verbatim after each
-    value of that column.  Every row equals "".join(conv % v + sep for v,
+    value of that column.  Every row encodes "".join(conv % v + sep for v,
     conv, sep in zip(row, convs, seps)), with conv[int(v)] for a label
     column, for every double: cells that _rounded_digits proves, and
     integers and labels that a table holds, are built from word tables, and
     only the others are formatted by conv % v.  Blocks of at most
     FORMAT_BLOCK_VALUES values are formatted at a time.
     """
-    for block in _format_blocks(values, convs, seps, _ROW_END):
-        # a block's rows are decoded at once, before the caller's allocations
-        # interleave with them: decoding a row per next() left the peak RSS
-        # of a 100-atom chain's job 8 MB higher
-        yield from [row.decode() for row in block.split(_ROW_END)[:-1]]
+    # map holds no block while the next one is formatted
+    return itertools.chain.from_iterable(map(_rows, _format_blocks(values, convs, seps, _ROW_END)))
 
 
-def _format_text(values: np.ndarray, convs, seps):
-    """The rows of _format_table joined, one string per block."""
-    for block in _format_blocks(values, convs, seps, b""):
-        yield block.decode()
+def _rows(block: bytes) -> list:
+    return block.split(_ROW_END)[:-1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -614,53 +594,63 @@ def _row_layout(convs: tuple, seps: tuple, row_end: bytes):
     return template, layout
 
 
-def _format_blocks(values, convs, seps, row_end: bytes):
-    """_format_table's blocks as UTF-8 bytes, each row followed by row_end."""
-    rows, cols = values.shape
+def _format_blocks(values, convs, seps, row_end: bytes = b"", table=np.asarray):
+    """_format_table's rows joined in UTF-8 blocks, each row followed by row_end.
+
+    values has a row per table row; table makes the float rows of a slice of
+    it, one block at a time.
+    """
+    rows, cols = len(values), len(convs)
     template, layout = _row_layout(tuple(convs), tuple(seps), row_end)
     step = max(1, FORMAT_BLOCK_VALUES // cols)
     # one buffer for every block: a new one per block let the peak RSS of a
     # long run of jmax-200 rotor jobs creep up by megabytes
     buffer = np.empty((min(step, rows), template.size), np.uint32)
     for start in range(0, rows, step):
-        block = values[start : start + step]
-        n = len(block)
-        record = buffer[:n]
-        record[:] = template
-        long = []  # (word offset, text) of fallback texts wider than their cell
-        for conv, sel, at, where in layout:
-            flat = block[:, sel].reshape(-1)
-            words, exact = _cell_words(flat, conv)
-            for index, w in zip(where, words):
-                record[:, index] = w.reshape(n, -1)
-            if exact.all():
-                continue
-            slow = np.flatnonzero(~exact)
-            size = 4 * len(words)
-            row, col = np.divmod(slow, len(at))
-            texts = []
-            for r, a, v in zip(row.tolist(), at[col].tolist(), flat[slow].tolist()):
-                text = (conv % v).encode()
-                if len(text) > size:
-                    long.append((r * template.size + a, text))
-                    text = _LONG
-                texts.append(text.ljust(size, _PAD))
-            record[row[:, None], at[col][:, None] + np.arange(len(words))] = np.frombuffer(
-                b"".join(texts), np.uint32
-            ).reshape(slow.size, -1)
-        text = record.tobytes().translate(None, _PAD)
-        if long:
-            parts = text.split(_LONG)
-            long.sort()
-            text = b"".join(itertools.chain.from_iterable(zip(parts, [t for _, t in long])))
-            text += parts[-1]
-        yield text
+        # no name here holds a block while the next one is formatted
+        yield _format_block(table(values[start : start + step]), buffer, template, layout)
+
+
+def _format_block(block, buffer, template, layout) -> bytes:
+    """One block of _format_blocks, built in the first rows of buffer."""
+    n = len(block)
+    record = buffer[:n]
+    record[:] = template
+    long = []  # (word offset, text) of fallback texts wider than their cell
+    for conv, sel, at, where in layout:
+        flat = block[:, sel].reshape(-1)
+        words, exact = _cell_words(flat, conv)
+        for index, w in zip(where, words):
+            record[:, index] = w.reshape(n, -1)
+        if exact.all():
+            continue
+        slow = np.flatnonzero(~exact)
+        size = 4 * len(words)
+        row, col = np.divmod(slow, len(at))
+        texts = []
+        for r, a, v in zip(row.tolist(), at[col].tolist(), flat[slow].tolist()):
+            text = (conv % v).encode()
+            if len(text) > size:
+                long.append((r * template.size + a, text))
+                text = _LONG
+            texts.append(text.ljust(size, _PAD))
+        record[row[:, None], at[col][:, None] + np.arange(len(words))] = np.frombuffer(
+            b"".join(texts), np.uint32
+        ).reshape(slow.size, -1)
+    text = record.tobytes().translate(None, _PAD)
+    if long:
+        parts = text.split(_LONG)
+        long.sort()
+        text = b"".join(itertools.chain.from_iterable(zip(parts, [t for _, t in long])))
+        text += parts[-1]
+    return text
 
 
 # -- deterministic JSON --------------------------------------------------------
 
 
 _JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+_JSON_CONTAINERS = (dict, list, tuple, np.ndarray, ro.RotorLevels)
 
 
 def _json_escape(s: str) -> str:
@@ -668,57 +658,13 @@ def _json_escape(s: str) -> str:
 
 
 def emit_json(obj, indent: int = 0) -> str:
-    """JSON text with insertion-ordered keys and %.12e float formatting."""
-    out = []
-    _json_pieces(obj, indent, out)
-    return "".join(out)
+    """JSON text with insertion-ordered keys and %.12e float formatting.
 
-
-def _json_pieces(obj, indent: int, out: list):
-    """Append obj's JSON text to out in pieces, so nested text is never copied."""
-    pad, inner = "  " * indent, "\n" + "  " * (indent + 1)
-    if isinstance(obj, (list, tuple)) and obj and all(isinstance(v, float) for v in obj):
-        obj = np.array(obj)
-    if (
-        isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size
-        and np.isfinite(obj).all()
-    ):
-        # finite floats: the same bytes as the element path below
-        sep = ",\n" + "  " * (indent + obj.ndim)
-        table = obj.astype(float).reshape(-1, obj.shape[-1])
-        rows = _format_table(table, ["%.12e"] * table.shape[1], [sep] * (table.shape[1] - 1) + [""])
-        _json_array(obj.shape, indent, rows, out)
-    elif isinstance(obj, dict) and obj:
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(("," if i else "{") + inner + _json_escape(str(k)) + ": ")
-            _json_pieces(v, indent + 1, out)
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
-        for i, v in enumerate(obj):
-            out.append(("," if i else "[") + inner)
-            _json_pieces(v, indent + 1, out)
-        out.append("\n" + pad + "]")
-    else:
-        out.append(_json_scalar(obj))
-
-
-def _json_array(shape, indent: int, rows, out: list):
-    """Append a float array as nested lists, taking its innermost rows from rows."""
-    inner = "\n" + "  " * (indent + 1)
-    if len(shape) == 1:
-        out += ("[" + inner, next(rows))
-    else:
-        for i in range(shape[0]):
-            out.append(("," if i else "[") + inner)
-            _json_array(shape[1:], indent + 1, rows, out)
-    out.append("\n" + "  " * indent + "]")
-
-
-def _json_scalar(obj) -> str:
-    if isinstance(obj, dict):
-        return "{}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[]"
+    A dict, list, array or RotorLevels (written as a list of level dicts) is
+    _json_chunks' text; the stream asks emit_json for every scalar.
+    """
+    if isinstance(obj, _JSON_CONTAINERS):
+        return b"".join(_json_chunks(obj, indent)).decode()
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -735,7 +681,65 @@ def _json_scalar(obj) -> str:
     return _json_escape(str(obj))
 
 
-# -- pipeline ------------------------------------------------------------------
+def _json_chunks(obj, indent: int):
+    """emit_json's text as UTF-8 chunks.  Finite float arrays and a level list
+    come from the formatter in blocks, so no chunk holds more than a block."""
+    pad, inner = "  " * indent, "\n" + "  " * (indent + 1)
+    if isinstance(obj, (list, tuple)) and obj and all(isinstance(v, float) for v in obj):
+        obj = np.array(obj)
+    if isinstance(obj, ro.RotorLevels) and len(obj):
+        yield from _level_list(obj, indent)
+    elif (
+        isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size
+        and np.isfinite(obj).all()
+    ):
+        # finite floats: the same bytes as the element path below
+        sep = ",\n" + "  " * (indent + obj.ndim)
+        table = obj.astype(float, copy=False).reshape(-1, obj.shape[-1])
+        rows = _format_table(table, ["%.12e"] * table.shape[1], [sep] * (table.shape[1] - 1) + [""])
+        yield from _json_array(obj.shape, indent, rows)
+    elif isinstance(obj, dict):
+        for i, (k, v) in enumerate(obj.items()):
+            yield (("," if i else "{") + inner + _json_escape(str(k)) + ": ").encode()
+            yield from _json_chunks(v, indent + 1)
+        yield ("\n" + pad + "}" if obj else "{}").encode()
+    elif isinstance(obj, _JSON_CONTAINERS):  # an empty RotorLevels too
+        for i, v in enumerate(obj):
+            yield (("," if i else "[") + inner).encode()
+            yield from _json_chunks(v, indent + 1)
+        yield ("\n" + pad + "]" if len(obj) else "[]").encode()
+    else:
+        yield emit_json(obj).encode()
+
+
+def _json_array(shape, indent: int, rows):
+    """A float array as nested lists, its innermost rows taken from rows."""
+    inner = ("\n" + "  " * (indent + 1)).encode()
+    if len(shape) == 1:
+        yield b"[" + inner + next(rows)
+    else:
+        for i in range(shape[0]):
+            yield (b"," if i else b"[") + inner
+            yield from _json_array(shape[1:], indent + 1, rows)
+    yield ("\n" + "  " * indent + "]").encode()
+
+
+def _level_list(levels: ro.RotorLevels, indent: int):
+    """The level dicts of emit_json as table rows: every row but the last is
+    followed by the opening of the next entry."""
+    entry, key = "\n" + "  " * (indent + 1), "\n" + "  " * (indent + 2)
+    opening = entry + "{" + key + '"j": '
+    convs = ("%d", ro.PARITY_CLASSES, "%d", "%.12e", "%d")
+    seps = (',' + key + '"parity": "', '",' + key + '"index": ', "," + key + '"energy": ',
+            "," + key + '"degeneracy": ')
+    more, last = seps + (entry + "}," + opening,), seps + (entry + "}",)
+    yield ("[" + opening).encode()
+    yield from _format_blocks(levels[:-1], convs, more, b"", _level_table)
+    yield from _format_blocks(levels[-1:], convs, last, b"", _level_table)
+    yield ("\n" + "  " * indent + "]").encode()
+
+
+# -- outputs -------------------------------------------------------------------
 
 
 @dataclass
@@ -744,14 +748,14 @@ class _Outputs:
     written: list = field(default_factory=list)
 
     def write(self, name: str, chunks) -> Path:
-        """Stream the text chunks into directory/name.
+        """Stream the UTF-8 chunks into directory/name.
 
         The path is recorded before the file is opened, so cleanup() also
         removes a file whose chunks raised midway.
         """
         path = self.directory / name
         self.written.append(path)
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(chunks)
         return path
 
@@ -771,7 +775,7 @@ def _solve_modes(parsed: ParsedInput, unit_mode: str) -> nm.NormalModeResult:
 
 
 def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
-    """modes.xyz as text chunks, two per animation frame."""
+    """modes.xyz as UTF-8 chunks, two per animation frame."""
     labels = [atom.label for atom in molecule.atoms]
     # one row per frame; each z is followed by the next atom's label
     seps = [s for label in labels[1:] for s in (" ", " ", f"\n{label} ")] + [" ", " ", "\n"]
@@ -785,18 +789,13 @@ def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
         ])
         rows = _format_table(geoms.reshape(len(geoms), -1), ["%.10f"] * len(seps), seps)
         for (i, t), row in zip(itertools.product(modes, range(job.frames)), rows):
-            yield f"{molecule.natoms}\nmode={i} freq={freqs[i]:.6f} frame={t}\n{labels[0]} "
+            header = f"{molecule.natoms}\nmode={i} freq={freqs[i]:.6f} frame={t}\n{labels[0]} "
+            yield header.encode()
             yield row
 
 
-# The (conversions, separators) of a level in report.json's level list and in
-# levels.txt, one table row per level with the columns of _level_table.  The
-# entry is emit_json's level dict at indent 3; each row ends with the opening
-# of the next entry.
-_LEVEL_OPEN = '\n      {\n        "j": '
-_LEVEL_ENTRY = (("%d", ro.PARITY_CLASSES, "%d", "%.12e", "%d"),
-                (',\n        "parity": "', '",\n        "index": ', ',\n        "energy": ',
-                 ',\n        "degeneracy": ', "\n      }," + _LEVEL_OPEN))
+# The (conversions, separators) of a levels.txt line, one table row per level
+# with the columns of _level_table.
 _LEVEL_LINE = (("%5d", tuple("%6s" % c for c in ro.PARITY_CLASSES), "%5d", "%14.6f", "%10d"),
                ("  ", "  ", " ", "  ", "\n"))
 
@@ -806,167 +805,156 @@ def _level_table(levels: ro.RotorLevels) -> np.ndarray:
     return np.array((levels.j, levels.code, levels.index, levels.energy, 2 * levels.j + 1), float).T
 
 
-def _levels_text(spec: ro.RotorSpec, levels: ro.RotorLevels) -> list:
-    """levels.txt as text chunks: the header, then blocks of level lines."""
-    header = (
+def _levels_text(spec: ro.RotorSpec, levels: ro.RotorLevels):
+    """levels.txt as UTF-8 chunks: the header, then blocks of level lines."""
+    yield (
         f"# rotor: A={spec.a_const:.6f} B={spec.b_const:.6f} C={spec.c_const:.6f} "
         f"({spec.classification})\n"
         "#   J  parity  index        E(cm-1)  degeneracy\n"
-    )
-    return [header, *_format_text(_level_table(levels), *_LEVEL_LINE)]
-
-
-def _report_json(report: dict, levels: Optional[ro.RotorLevels]):
-    """report.json as text chunks.
-
-    emit_json writes the report; a rotor level list, the last entry of the
-    last section, follows in blocks of levels and is never held as one string."""
-    if levels is None:
-        yield emit_json(report) + "\n"
-        return
-    # no name holds the report's text while the level list is formatted
-    yield emit_json(report)[: -len("\n  }\n}")] + ',\n    "levels": [' + _LEVEL_OPEN
-    blocks = _format_text(_level_table(levels), *_LEVEL_ENTRY)
-    last = next(blocks)  # every J has a level, so the list is never empty
-    for block in blocks:
-        yield last
-        last = block
-    yield last[: -len("," + _LEVEL_OPEN)] + "\n    ]\n  }\n}\n"
+    ).encode()
+    yield from _format_blocks(levels, *_LEVEL_LINE, b"", _level_table)
 
 
 def _trajectory_csv(times, states):
-    """trajectory.csv as text chunks: the header, then blocks of rows."""
+    """trajectory.csv as UTF-8 chunks: the header, then blocks of rows."""
     n = states.shape[1]
-    yield "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
+    yield ("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n").encode()
     step = max(1, FORMAT_BLOCK_VALUES // (n + 1))
     for i in range(0, len(times), step):
         block = np.column_stack((times[i : i + step], states[i : i + step]))
-        yield from _format_text(block, ["%.12e"] * (n + 1), [","] * n + ["\n"])
+        yield from _format_blocks(block, ["%.12e"] * (n + 1), [","] * n + ["\n"])
 
 
+# -- the task table ------------------------------------------------------------
+
+
+def _check_modes(parsed: ParsedInput, job: JobSpec):
+    xyz_values = job.frames * 3 * parsed.molecule.natoms * len(parsed.internal_coordinates)
+    if xyz_values > XYZ_VALUES_MAX:
+        raise ValidationError(
+            f"--frames {job.frames} gives {xyz_values} modes.xyz values, "
+            f"more than XYZ_VALUES_MAX = {XYZ_VALUES_MAX}"
+        )
+
+
+def _modes_task(parsed: ParsedInput, modes, job: JobSpec):
+    mol, result = parsed.molecule, modes()
+    ecd = wa.eckart_conditions_check(mol, result.l) if mol.dimensionality == 3 else None
+    eckart = ecd and {"translational": ecd.translational, "rotational": ecd.rotational}
+    section = {"lambdas": result.lambdas, "frequencies": result.frequencies_cm,
+               "eckart_residuals": eckart}
+    return section, [("modes.xyz", _xyz_frames(mol, result, job))]
+
+
+def _check_dynamics(parsed: ParsedInput, job: JobSpec):
+    if parsed.initial_conditions is None:
+        raise ValidationError("dynamics task requires a [dynamics] section")
+
+
+def _dynamics_task(parsed: ParsedInput, modes, job: JobSpec):
+    result, ic, options = modes(), parsed.initial_conditions, parsed.dynamics_options
+    times = np.linspace(0.0, options["t_end"], options["samples"])
+    states = dyn.trajectory_closed_form(result, result.g_inv, ic, times)
+    energy0 = float(
+        0.5 * ic.beta_vel @ result.g_inv.entries @ ic.beta_vel
+        + 0.5 * ic.kappa @ parsed.force_field.f.entries @ ic.kappa
+    )
+    if not (math.isfinite(energy0) and np.isfinite(states).all()):
+        raise dyn.NonFiniteTrajectory("the trajectory or its energy is not finite")
+    section = {"t_end": options["t_end"], "samples": options["samples"], "energy": energy0}
+    return section, [("trajectory.csv", _trajectory_csv(times, states))]
+
+
+def _check_watson(parsed: ParsedInput, job: JobSpec):
+    if parsed.molecule.dimensionality != 3:
+        raise ValidationError("watson-diagnostics requires a 3-dimensional molecule")
+    if math.inf in mo.inertia(parsed.molecule).rotational_constants:
+        raise ValidationError("watson-diagnostics requires a nonlinear molecule")
+
+
+def _watson_task(parsed: ParsedInput, modes, job: JobSpec):
+    mol, result = parsed.molecule, modes()
+    cd = wa.coriolis_data(mol, result.l)
+    sr = wa.sum_rule_residuals(cd, mol, result.l)
+    ie = wa.inertia_expansion(mol, result.l, cd.a_coeff)
+    section = {
+        "zeta": cd.zeta,
+        "interaction_coefficients": cd.a_coeff,
+        "sum_rule_residuals": {"rule1": sr.rule1, "rule2": sr.rule2, "rule3": sr.rule3},
+        "inertia_tensor": ie.i0,
+        "watson_u0": wa.watson_u(ie, np.zeros(cd.n_modes), job.unit_mode),
+    }
+    return section, []
+
+
+def _rotor_spec(parsed: ParsedInput, job: JobSpec) -> ro.RotorSpec:
+    """The [rotor] constants, or those of the molecular inertia; the rotor check."""
+    spec = parsed.rotor_spec or ro.rotor_spec_from_inertia(
+        mo.inertia(parsed.molecule).rotational_constants)
+    if spec is None:
+        raise ValidationError("no [rotor] section and the molecular inertia is degenerate")
+    return spec
+
+
+def _rotor_task(parsed: ParsedInput, modes, job: JobSpec):
+    spec = _rotor_spec(parsed, job)
+    levels = ro.asymmetric_levels(spec, job.jmax)
+    section = {
+        "constants": {"a": spec.a_const, "b": spec.b_const, "c": spec.c_const},
+        "classification": spec.classification,
+        "jmax": job.jmax,
+        "levels": levels,
+    }
+    return section, [("levels.txt", _levels_text(spec, levels))]
+
+
+class _Task(NamedTuple):
+    """check(parsed, job) raises ValidationError if the input cannot run the
+    task; run(parsed, modes, job) returns (report section, [(file name,
+    chunks)]), where modes() solves on its first call."""
+
+    name: str  # the --tasks name
+    key: str   # the report section
+    check: object
+    run: object
+
+
+# The paper's order, which is the order of report.json's sections and of the writes.
+_TASKS = (
+    _Task("modes", "modes", _check_modes, _modes_task),
+    _Task("dynamics", "dynamics", _check_dynamics, _dynamics_task),
+    _Task("watson-diagnostics", "watson", _check_watson, _watson_task),
+    _Task("rotor", "rotor", _rotor_spec, _rotor_task),
+)
+TASKS = tuple(task.name for task in _TASKS)
+
+
+@np.errstate(all="ignore")  # a non-finite result is refused, not warned about
 def run(job: JobSpec) -> int:
     """Execute a job; returns the process exit code."""
     outputs = _Outputs(directory=job.output_dir)
     try:
         parsed = parse_input(job.input_path)
+        tasks = [task for task in _TASKS if task.name in job.tasks]
         # every precondition is checked before anything is solved or written
-        mol = parsed.molecule
-        xyz_values = job.frames * 3 * mol.natoms * len(parsed.internal_coordinates)
-        if "modes" in job.tasks and xyz_values > XYZ_VALUES_MAX:
-            raise ValidationError(
-                f"--frames {job.frames} gives {xyz_values} modes.xyz values, "
-                f"more than XYZ_VALUES_MAX = {XYZ_VALUES_MAX}"
-            )
-        if "dynamics" in job.tasks and parsed.initial_conditions is None:
-            raise ValidationError("dynamics task requires a [dynamics] section")
-        if "watson-diagnostics" in job.tasks:
-            if mol.dimensionality != 3:
-                raise ValidationError("watson-diagnostics requires a 3-dimensional molecule")
-            if math.inf in mo.inertia(mol).rotational_constants:
-                raise ValidationError("watson-diagnostics requires a nonlinear molecule")
-        spec = parsed.rotor_spec
-        if "rotor" in job.tasks and spec is None:
-            spec = ro.rotor_spec_from_inertia(mo.inertia(mol).rotational_constants)
-            if spec is None:
-                raise ValidationError("no [rotor] section and the molecular inertia is degenerate")
+        for task in tasks:
+            task.check(parsed, job)
         job.output_dir.mkdir(parents=True, exist_ok=True)
-        report = {
-            "input": job.input_path.name,
-            "tasks": list(job.tasks),
-            "unit_mode": job.unit_mode,
-        }
-
-        levels = None
-        needs_modes = any(
-            t in job.tasks for t in ("modes", "dynamics", "watson-diagnostics")
-        )
-        if needs_modes:
-            result = _solve_modes(parsed, job.unit_mode)
-
-        if "modes" in job.tasks:
-            ecd = wa.eckart_conditions_check(mol, result.l) if mol.dimensionality == 3 else None
-            report["modes"] = {
-                "lambdas": result.lambdas,
-                "frequencies": result.frequencies_cm,
-                "eckart_residuals": (
-                    {
-                        "translational": ecd.translational,
-                        "rotational": ecd.rotational,
-                    }
-                    if ecd is not None
-                    else None
-                ),
-            }
-            outputs.write("modes.xyz", _xyz_frames(mol, result, job))
-
-        if "dynamics" in job.tasks:
-            metric = result.g_inv
-            times = np.linspace(
-                0.0,
-                parsed.dynamics_options["t_end"],
-                parsed.dynamics_options["samples"],
-            )
-            states = dyn.trajectory_closed_form(
-                result, metric, parsed.initial_conditions, times
-            )
-            energy0 = float(
-                0.5
-                * parsed.initial_conditions.beta_vel
-                @ metric.entries
-                @ parsed.initial_conditions.beta_vel
-                + 0.5
-                * parsed.initial_conditions.kappa
-                @ parsed.force_field.f.entries
-                @ parsed.initial_conditions.kappa
-            )
-            if not (math.isfinite(energy0) and np.isfinite(states).all()):
-                raise dyn.NonFiniteTrajectory("the trajectory or its energy is not finite")
-            report["dynamics"] = {
-                "t_end": parsed.dynamics_options["t_end"],
-                "samples": parsed.dynamics_options["samples"],
-                "energy": energy0,
-            }
-            outputs.write("trajectory.csv", _trajectory_csv(times, states))
-
-        if "watson-diagnostics" in job.tasks:
-            cd = wa.coriolis_data(mol, result.l)
-            sr = wa.sum_rule_residuals(cd, mol, result.l)
-            ie = wa.inertia_expansion(mol, result.l, cd.a_coeff)
-            report["watson"] = {
-                "zeta": cd.zeta,
-                "interaction_coefficients": cd.a_coeff,
-                "sum_rule_residuals": {
-                    "rule1": sr.rule1,
-                    "rule2": sr.rule2,
-                    "rule3": sr.rule3,
-                },
-                "inertia_tensor": ie.i0,
-                "watson_u0": wa.watson_u(ie, np.zeros(cd.n_modes), job.unit_mode),
-            }
-
-        if "rotor" in job.tasks:
-            report["rotor"] = {
-                "constants": {"a": spec.a_const, "b": spec.b_const, "c": spec.c_const},
-                "classification": spec.classification,
-                "jmax": job.jmax,
-            }
-            levels = ro.asymmetric_levels(spec, job.jmax)
-            outputs.write("levels.txt", _levels_text(spec, levels))
-
-        outputs.write("report.json", _report_json(report, levels))
+        modes = functools.cache(lambda: _solve_modes(parsed, job.unit_mode))
+        report = {"input": job.input_path.name, "tasks": [task.name for task in tasks],
+                  "unit_mode": job.unit_mode}
+        for task in tasks:
+            report[task.key], files = task.run(parsed, modes, job)
+            for name, chunks in files:
+                outputs.write(name, chunks)
+        outputs.write("report.json", itertools.chain(_json_chunks(report, 0), [b"\n"]))
         return 0
     except (ParseError, ValidationError, OSError) as exc:
         outputs.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        QuadformError,
-        mo.MoleculeError,
-        dyn.DynamicsError,
-        wa.WatsonError,
-        ro.RotorError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (QuadformError, mo.MoleculeError, dyn.DynamicsError, wa.WatsonError, ro.RotorError,
+            np.linalg.LinAlgError) as exc:
         outputs.cleanup()
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -981,36 +969,23 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
     analyze = sub.add_parser("analyze", help="run an analysis job")
     analyze.add_argument("input", help="input file path")
-    analyze.add_argument(
-        "--tasks",
-        default="modes",
-        help=f"comma-separated subset of: {', '.join(TASKS)}",
-    )
+    analyze.add_argument("--tasks", default="modes",
+                         help=f"comma-separated subset of: {', '.join(TASKS)}")
     analyze.add_argument("--out", default=".", help="output directory")
-    analyze.add_argument(
-        "--units", default="cm", choices=UNIT_MODES, help="frequency units"
-    )
+    analyze.add_argument("--units", default="cm", choices=UNIT_MODES, help="frequency units")
     analyze.add_argument("--jmax", type=int, default=5, help="highest rotor J")
-    analyze.add_argument(
-        "--frames", type=int, default=20, help="animation frames per mode"
-    )
-    analyze.add_argument(
-        "--amplitude", type=float, default=0.3, help="animation amplitude (Angstrom)"
-    )
+    analyze.add_argument("--frames", type=int, default=20, help="animation frames per mode")
+    analyze.add_argument("--amplitude", type=float, default=0.3,
+                         help="animation amplitude (Angstrom)")
     args = parser.parse_args(argv)
     if args.command != "analyze":
         parser.print_usage(sys.stderr)
         return 2
     try:
-        job = JobSpec(
-            input_path=args.input,
-            tasks=tuple(t.strip() for t in args.tasks.split(",") if t.strip()),
-            output_dir=args.out,
-            unit_mode=args.units,
-            jmax=args.jmax,
-            frames=args.frames,
-            amplitude=args.amplitude,
-        )
+        tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
+        job = JobSpec(input_path=args.input, tasks=tasks, output_dir=args.out,
+                      unit_mode=args.units, jmax=args.jmax, frames=args.frames,
+                      amplitude=args.amplitude)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

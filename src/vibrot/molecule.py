@@ -420,10 +420,11 @@ def inertia(mol: Molecule) -> InertiaData:
 
     The origin is the centre of mass and the axes are the right-handed
     principal axes of I0, the frame of the Eckart-Watson Hamiltonian.  A
-    moment at or below ZERO_INERTIA_RTOL of the largest counts as zero: it
-    has no rotation row, no pseudo-inverse entry and an infinite rotational
-    constant.  The constants are kappa / I with kappa = h / (8 pi^2 c) in
-    cm^-1 amu Angstrom^2.
+    moment at or below ZERO_INERTIA_RTOL of sqrt(sum m |r|^2 sum m |r -
+    com|^2), r about the input origin, counts as zero: it has no rotation
+    row, no pseudo-inverse entry and an infinite rotational constant.  The
+    constants are kappa / I with kappa = h / (8 pi^2 c) in cm^-1 amu
+    Angstrom^2.
     """
     return mol._inertia
 
@@ -436,7 +437,11 @@ def _equilibrium_frame(mol: Molecule) -> InertiaData:
     moments = np.clip(moments, 0.0, None)
     if np.linalg.det(axes) < 0:
         axes[:, -1] = -axes[:, -1]
-    nonzero = moments > ZERO_INERTIA_RTOL * max(moments.max(), 1e-300)
+    # the centre-of-mass shift leaves roundoff of about eps sum m |r| |r - com|
+    # in the moments, at most eps sqrt(sum m |r|^2 sum m |r - com|^2)
+    size = math.sqrt((masses @ np.sum(mol.positions**2, axis=1))
+                     * (masses @ np.sum(pos**2, axis=1)))
+    nonzero = moments > ZERO_INERTIA_RTOL * size
     inv = np.divide(1.0, moments, out=np.zeros(3), where=nonzero)
     consts = np.divide(constants.ROTATIONAL_CM, moments, out=np.full(3, math.inf), where=nonzero)
     rows = masses[:, None] * np.cross(axes.T[nonzero, None], pos)

@@ -52,7 +52,7 @@ class SymMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionMismatch("dimension must be at least 1")
-        a = 0.5 * (a + a.T)
+        a = 0.5 * a + 0.5 * a.T  # halving first cannot overflow
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 

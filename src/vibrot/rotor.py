@@ -111,7 +111,8 @@ class RotorLevels:
     """Rotor levels as parallel arrays, grouped by ascending J.
 
     Level i is RotorLevel(j[i], PARITY_CLASSES[code[i]], index[i], energy[i],
-    2 j[i] + 1); indexing and iteration give these views.
+    2 j[i] + 1); indexing and iteration give these views, and a slice gives
+    the RotorLevels of its levels.
     """
 
     j: np.ndarray
@@ -122,7 +123,9 @@ class RotorLevels:
     def __len__(self) -> int:
         return self.energy.size
 
-    def __getitem__(self, i) -> RotorLevel:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RotorLevels(self.j[i], self.code[i], self.index[i], self.energy[i])
         j = int(self.j[i])
         cls = PARITY_CLASSES[self.code[i]]
         return RotorLevel(j, cls, int(self.index[i]), float(self.energy[i]), 2 * j + 1)

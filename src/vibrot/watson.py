@@ -249,9 +249,10 @@ def sum_rule_residuals(
 
     All three rules are exact identities for modes that span the Eckart
     vibrational subspace and drop to roundoff there.  Rule 1's terms are
-    (3n x 3n) products: Z Z^T (Z = zeta as 3n x n), M^T M (M = l as N x 3n,
-    its axis indices crossed) and a_k (I0)^-1 a_l.  Rules 2 and 3 take the
-    completeness forms of the module docstring.
+    (3n x 3n) products, formed one (n x 3n) row block at a time: Z Z^T (Z =
+    zeta as 3n x n), M^T M (M = l as N x 3n, its axis indices crossed) and
+    a_k (I0)^-1 a_l.  Rules 2 and 3 take the completeness forms of the
+    module docstring.
     """
     shaped = _shaped_l(mol, l)
     if cd.zeta.shape[1] != shaped.shape[2]:
@@ -263,16 +264,22 @@ def sum_rule_residuals(
 
     # rule 1: sum_n zeta[a,k,n] zeta[b,l,n]
     #         = d_ab d_kl - sum_i l[b,i,k] l[a,i,l] - (1/4) a_k (I0)^-1 a_l,
-    # each term a (3n x 3n) product with rows (a, k) and columns (b, l)
+    # each term a (3n x 3n) product with rows (a, k) and columns (b, l),
+    # built one row block a at a time as (k, b, l)
     z = zeta.reshape(3 * n, n)
     flat = shaped.reshape(shaped.shape[0], 3 * n)
-    resid1 = (z @ z.T).reshape(3, n, 3, n)
-    # the overlap's axis indices are crossed: (a, k, b, l) sits at [b, k, a, l]
-    resid1 += (flat.T @ flat).reshape(3, n, 3, n).transpose(2, 1, 0, 3)
-    i0_term = (a @ frame.tensor_pinv).reshape(3 * n, 3) @ a.transpose(1, 0, 2).reshape(3, 3 * n)
-    resid1 += 0.25 * i0_term.reshape(n, 3, n, 3).transpose(1, 0, 3, 2)
-    resid1.reshape(3 * n, 3 * n)[np.diag_indices(3 * n)] -= 1.0
-    rule1 = _maxabs(resid1)
+    a_pinv = a @ frame.tensor_pinv
+    a_rows = a.transpose(1, 0, 2).reshape(3, 3 * n)
+    diag = np.arange(n)
+    rule1 = 0.0
+    for alpha in range(3):
+        cols = slice(alpha * n, (alpha + 1) * n)
+        resid1 = (z[cols] @ z.T).reshape(n, 3, n)
+        # the overlap's axis indices are crossed: (a, k, b, l) sits at [b, k, a, l]
+        resid1 += (flat.T @ flat[:, cols]).reshape(3, n, n).transpose(1, 0, 2)
+        resid1 += 0.25 * (a_pinv[:, alpha] @ a_rows).reshape(n, n, 3).transpose(0, 2, 1)
+        resid1[diag, alpha, diag] -= 1.0
+        rule1 = max(rule1, _maxabs(resid1))
 
     c = _inertia_gradient(mol)
     # R: orthonormal mass-weighted rotations, 2 for a linear molecule

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -325,8 +327,12 @@ cart 2 x
           "requires a 3-dimensional molecule"),
          ("", MINIMAL, "modes,watson-diagnostics", "requires a nonlinear molecule"),
          ("", "[atoms]\nX 1.0 0.0 0.0 0.0\n[internal_coordinates]\ncart 1 x\n"
+          "[force_constants]\n1.0\n", "modes,rotor", "inertia is degenerate"),
+         # off the origin, the centre-of-mass shift leaves moments of 4e-32
+         ("", "[atoms]\nX 12.0 0.4 -1.0 2.0\n[internal_coordinates]\ncart 1 x\n"
           "[force_constants]\n1.0\n", "modes,rotor", "inertia is degenerate")],
-        ids=["no-dynamics-section", "planar-watson", "linear-watson", "point-rotor"],
+        ids=["no-dynamics-section", "planar-watson", "linear-watson", "point-rotor",
+             "offset-point-rotor"],
     )
     def test_task_preconditions_checked_before_solve_or_write(
         self, tmp_path, monkeypatch, capsys, header, atoms, tasks, message
@@ -396,20 +402,22 @@ beta = 0.0 0.0
         assert not out.exists() or not any(out.iterdir())
 
     # A finite but huge force constant or initial displacement overflows in
-    # the solve or the energy; neither may be written as nan or inf.
+    # the solve or the energy; neither may be written as nan or inf, and no
+    # numpy warning reaches stderr.  A huge coupling alone is symmetrized
+    # without overflow, and the dynamics refuses its indefinite F.
     @pytest.mark.parametrize(
         "old,new,message",
-        [("-1.0 2.0", "1e308 2.0", "the GF solve gave non-finite eigenvalues or modes"),
+        [("-1.0 2.0", "1e308 1.7e308", "the GF solve gave non-finite eigenvalues or modes"),
+         ("-1.0 2.0", "1e308 2.0", "lambda = -1.000e+308 < 0"),
          ("kappa = 0.1 0.1", "kappa = 1e200 1e200", "the trajectory or its energy is not finite")],
-        ids=["overflowing-coupling", "overflowing-energy"],
+        ids=["overflowing-solve", "overflowing-coupling", "overflowing-energy"],
     )
     def test_overflow_exits_3_with_no_outputs(self, tmp_path, capsys, old, new, message):
         text = (FIXTURES / "twomass.inp").read_text()
         assert old in text
         path = write_input(tmp_path, text.replace(old, new, 1))
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = cli.main(["analyze", str(path), "--tasks", "modes,dynamics", "--out", str(out)])
+        code = cli.main(["analyze", str(path), "--tasks", "modes,dynamics", "--out", str(out)])
         assert code == 3
         assert message in capsys.readouterr().err
         assert not any(out.iterdir())
@@ -480,8 +488,8 @@ beta = 0.0 0.0
         opened = []
 
         def failing_csv(times, states):
-            yield "t,x1,x2\n"
-            yield "0,0,0\n" * 10_000  # past the write buffer
+            yield b"t,x1,x2\n"
+            yield b"0,0,0\n" * 10_000  # past the write buffer
             opened.append((out / "trajectory.csv").exists())
             raise exc
 
@@ -630,7 +638,7 @@ class TestXyzWriter:
         parsed = parse_input(FIXTURES / fixture)
         result = cli._solve_modes(parsed, "cm")
         job = JobSpec(input_path=FIXTURES / fixture, frames=9, amplitude=0.7)
-        text = "".join(cli._xyz_frames(parsed.molecule, result, job))
+        text = b"".join(cli._xyz_frames(parsed.molecule, result, job)).decode()
         assert text == xyz_per_line(parsed.molecule, result, job)
         assert text.count("\n") == result.nmodes * 9 * (parsed.molecule.natoms + 2)
 
@@ -639,7 +647,8 @@ class TestXyzWriter:
         result = SimpleNamespace(nmodes=1, frequencies_cm=np.array([1.0]),
                                  cart_displacements=np.array([[1.0], [0.0], [0.0]]))
         job = JobSpec(input_path="x.inp", frames=2)
-        assert "".join(cli._xyz_frames(mol, result, job)) == xyz_per_line(mol, result, job)
+        text = b"".join(cli._xyz_frames(mol, result, job)).decode()
+        assert text == xyz_per_line(mol, result, job)
 
     # FORMAT_BLOCK_VALUES = 36 holds 2 modes of 3 atoms at 2 frames a mode;
     # at 5 frames (45 values) one mode spans two blocks.
@@ -657,7 +666,7 @@ class TestXyzWriter:
             cart_displacements=rng.normal(size=(mol.ncart, nmodes)),
         )
         job = JobSpec(input_path="x.inp", frames=frames, amplitude=0.4)
-        text = "".join(cli._xyz_frames(mol, result, job))
+        text = b"".join(cli._xyz_frames(mol, result, job)).decode()
         assert text == xyz_per_line(mol, result, job)
         assert text.count("\n") == nmodes * frames * 5
 
@@ -682,7 +691,7 @@ class TestTrajectoryWriter:
         flat[: len(self.SPECIAL)] = self.SPECIAL[: flat.size]
         times = np.linspace(0.0, 3.5, samples)
         times[0] = -0.0
-        text = "".join(cli._trajectory_csv(times, states))
+        text = b"".join(cli._trajectory_csv(times, states)).decode()
         assert text == trajectory_csv_per_element(times, states)
         assert text.count("\n") == samples + 1
 
@@ -694,7 +703,7 @@ class TestTrajectoryWriter:
         states = rng.normal(size=(samples, 3)) * 10.0 ** rng.integers(-40, 20, (samples, 3))
         states.reshape(-1)[::5] = np.resize(self.SPECIAL, states.reshape(-1)[::5].size)
         times = np.linspace(0.0, 2.0, samples)
-        text = "".join(cli._trajectory_csv(times, states))
+        text = b"".join(cli._trajectory_csv(times, states)).decode()
         assert text == trajectory_csv_per_element(times, states)
 
 
@@ -706,6 +715,11 @@ def formatted_per_cell(values, convs, seps):
 
     return ["".join(cell(conv, v) + sep for v, conv, sep in zip(row, convs, seps))
             for row in values.tolist()]
+
+
+def table_rows(values, convs, seps):
+    """The rows of cli._format_table, decoded."""
+    return [row.decode() for row in cli._format_table(values, convs, seps)]
 
 
 CONVERSIONS = ("%.12e", "%.10f", "%14.6f")
@@ -743,7 +757,7 @@ class TestExactFormatter:
     @pytest.mark.parametrize("conv", CONVERSIONS)
     def test_edges_match_percent(self, conv):
         values = np.array([self.TIES[conv] + self.NEAR_TIES + self.EDGES]).T
-        assert list(cli._format_table(values, [conv], ["\n"])) == formatted_per_cell(
+        assert table_rows(values, [conv], ["\n"]) == formatted_per_cell(
             values, [conv], ["\n"]
         )
 
@@ -760,7 +774,7 @@ class TestExactFormatter:
     @pytest.mark.parametrize("conv", INT_CONVERSIONS)
     def test_integer_columns_match_percent(self, conv):
         values = np.array([self.INTEGERS]).T
-        assert list(cli._format_table(values, [conv], [";"])) == formatted_per_cell(
+        assert table_rows(values, [conv], [";"]) == formatted_per_cell(
             values, [conv], [";"]
         )
         _, exact = cli._cell_words(values.reshape(-1), conv)
@@ -786,10 +800,10 @@ class TestExactFormatter:
         values[5, [0, 5, 6]] = 10**15
         values[7, 3] = -math.inf
         seps = [" ", "\u00d6", "", ",\n  \"x\": ", "%s", "\x00", "\n", "|"]
-        assert list(cli._format_table(values, convs, seps)) == formatted_per_cell(
+        assert table_rows(values, convs, seps) == formatted_per_cell(
             values, convs, seps
         )
-        text = "".join(cli._format_text(values, convs, seps))
+        text = b"".join(cli._format_blocks(values, convs, seps)).decode()
         assert text == "".join(formatted_per_cell(values, convs, seps))
 
     @settings(max_examples=300)
@@ -797,7 +811,7 @@ class TestExactFormatter:
     def test_matches_percent_on_any_double(self, row, conv):
         values = np.array([row])
         seps = [",", "\u00d6\x00"] * 6
-        assert list(cli._format_table(values, [conv] * len(row), seps[: len(row)])) == (
+        assert table_rows(values, [conv] * len(row), seps[: len(row)]) == (
             formatted_per_cell(values, [conv] * len(row), seps)
         )
 
@@ -808,7 +822,7 @@ class TestExactFormatter:
         values = np.array([[float(v) for v, _ in cells]])
         convs = [conv for _, conv in cells]
         seps = [" "] * len(cells)
-        assert list(cli._format_table(values, convs, seps)) == formatted_per_cell(
+        assert table_rows(values, convs, seps) == formatted_per_cell(
             values, convs, seps
         )
 
@@ -965,13 +979,14 @@ LEVEL_JSON = (
 def assert_level_writers_match_templates(spec, levels):
     """levels.txt against the per-line writer, and report.json's level list
     against LEVEL_JSON, one level at a time."""
-    assert_same_text("".join(cli._levels_text(spec, levels)), levels_text_per_line(spec, levels))
-    report = {"rotor": {"jmax": 1}}
+    assert_same_text(b"".join(cli._levels_text(spec, levels)).decode(),
+                     levels_text_per_line(spec, levels))
     entries = [LEVEL_JSON % (lv.j, lv.parity_class, lv.index, lv.energy, lv.degeneracy)
                for lv in levels]
-    want = (emit_json_per_element(report)[: -len("\n  }\n}")] + ',\n    "levels": [\n'
-            + ",\n".join(entries) + "\n    ]\n  }\n}\n")
-    assert_same_text("".join(cli._report_json(report, levels)), want)
+    want = (emit_json_per_element({"rotor": {"jmax": 1}})[: -len("\n  }\n}")]
+            + ',\n    "levels": [\n' + ",\n".join(entries) + "\n    ]\n  }\n}")
+    report = {"rotor": {"jmax": 1, "levels": levels}}
+    assert_same_text(b"".join(cli._json_chunks(report, 0)).decode(), want)
 
 
 def level_dict(lv):
@@ -1028,7 +1043,7 @@ class TestRotorWriters:
         levels = ro.RotorLevels(*(np.append(a, b) for a, b in zip(
             (levels.j, levels.code, levels.index, levels.energy),
             ([41] * 3, np.int8([0, 0, 3]), [0, 1, 2], energies))))
-        assert_same_text("".join(cli._levels_text(spec, levels)),
+        assert_same_text(b"".join(cli._levels_text(spec, levels)).decode(),
                          levels_text_per_line(spec, levels))
 
     # jmax 0 and 1 have empty E- blocks; FORMAT_BLOCK_VALUES = 5 puts one
@@ -1238,3 +1253,47 @@ class TestCliContract:
                 assert "report.json" in [p.name for p in written]
                 for p in written:
                     assert np.isfinite(output_numbers(p)).all(), p.name
+
+
+class TestTaskTable:
+    """run() checks every selected task, then runs the tasks in the table's
+    order, whatever the order of --tasks."""
+
+    def test_outputs_do_not_depend_on_task_order(self, tmp_path):
+        path = write_input(tmp_path, chain_input(5, 11, dynamics=True, rotor=True))
+        outputs = set()
+        for order in itertools.permutations(cli.TASKS):
+            out = tmp_path / "-".join(order)
+            assert cli.main(["analyze", str(path), "--tasks", ",".join(order), "--frames", "3",
+                             "--jmax", "4", "--out", str(out)]) == 0
+            outputs.add(tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir())))
+        assert len(outputs) == 1
+        (files,) = outputs
+        assert [name for name, _ in files] == [
+            "levels.txt", "modes.xyz", "report.json", "trajectory.csv"]
+        report = json.loads(dict(files)["report.json"])
+        assert report["tasks"] == list(cli.TASKS)
+        assert list(report) == ["input", "tasks", "unit_mode", "modes", "dynamics", "watson",
+                                "rotor"]
+
+    def test_report_json_is_streamed(self, tmp_path, monkeypatch):
+        # a 40-atom chain's zeta and a jmax-200 level list: about 7 MB of
+        # report.json, written a block at a time
+        path = write_input(tmp_path, chain_input(40, 1, dynamics=False, rotor=False))
+        write = cli._Outputs.write
+        peaks = {}
+
+        def traced_write(self, name, chunks):
+            tracemalloc.start()
+            try:
+                return write(self, name, chunks)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli._Outputs, "write", traced_write)
+        assert cli.main(["analyze", str(path), "--tasks", "watson-diagnostics,rotor", "--jmax",
+                         "200", "--out", str(tmp_path)]) == 0
+        size = (tmp_path / "report.json").stat().st_size
+        assert size > 5e6
+        assert peaks["report.json"] < size / 4

@@ -290,6 +290,20 @@ class TestInertia:
         assert np.abs(data.tensor).max() == 0.0
         assert all(math.isinf(c) for c in data.rotational_constants)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e7])
+    def test_zero_moment_threshold_follows_the_geometry(self, offset):
+        # off the origin the centre-of-mass shift leaves roundoff in the
+        # moments: 4e-32 for one atom, which has no rotational constant, and
+        # 2e-9 along a diatomic 1e7 Angstrom out, which stays linear
+        atom = Molecule.from_lists(["C"], [12.0], [[0.4 + offset, -1.0, 2.0]])
+        assert all(math.isinf(c) for c in mo.inertia(atom).rotational_constants)
+        pair = Molecule.from_lists(
+            ["A", "B"], [1.0, 2.0], [[0.3 + offset, offset, offset], [1.5 + offset, offset, offset]]
+        )
+        a, b, c = mo.inertia(pair).rotational_constants
+        assert math.isinf(a)
+        assert b == c == pytest.approx(constants.ROTATIONAL_CM / 0.96, rel=1e-8)
+
     def test_two_point_masses(self):
         mol = Molecule.from_lists(
             ["A", "B"], [1.0, 1.0], [[1.0, 0, 0], [-1.0, 0, 0]]
