@@ -400,6 +400,11 @@ def parse_input(path) -> ParsedInput:
 # block and its temporaries stay near 1 MB, whatever the size of the table.
 # Blocks of 2^14 values took twice the memory and were no faster.
 FORMAT_BLOCK_VALUES = 1 << 13
+# Fewest values of a float array that emit_json formats as one table.  A
+# table costs about 55 us at any small size and the per-value path about
+# 2.5 us a value, so smaller arrays, such as the 3-27 values of most
+# report.json arrays, take the per-value path; both give the same bytes.
+JSON_TABLE_MIN_VALUES = 32
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**k < 2**53 for k <= 22
 
@@ -682,16 +687,17 @@ def emit_json(obj, indent: int = 0) -> str:
 
 
 def _json_chunks(obj, indent: int):
-    """emit_json's text as UTF-8 chunks.  Finite float arrays and a level list
-    come from the formatter in blocks, so no chunk holds more than a block."""
+    """emit_json's text as UTF-8 chunks.  Finite float arrays of at least
+    JSON_TABLE_MIN_VALUES values and a level list come from the formatter in
+    blocks, so no chunk holds more than a block."""
     pad, inner = "  " * indent, "\n" + "  " * (indent + 1)
     if isinstance(obj, (list, tuple)) and obj and all(isinstance(v, float) for v in obj):
         obj = np.array(obj)
     if isinstance(obj, ro.RotorLevels) and len(obj):
         yield from _level_list(obj, indent)
     elif (
-        isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size
-        and np.isfinite(obj).all()
+        isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim
+        and obj.size >= JSON_TABLE_MIN_VALUES and np.isfinite(obj).all()
     ):
         # finite floats: the same bytes as the element path below
         sep = ",\n" + "  " * (indent + obj.ndim)
@@ -960,7 +966,9 @@ def run(job: JobSpec) -> int:
         return 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vibrot",
         description="Normal modes, harmonic dynamics, Watson diagnostics "
@@ -977,6 +985,11 @@ def main(argv=None) -> int:
     analyze.add_argument("--frames", type=int, default=20, help="animation frames per mode")
     analyze.add_argument("--amplitude", type=float, default=0.3,
                          help="animation amplitude (Angstrom)")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command != "analyze":
         parser.print_usage(sys.stderr)

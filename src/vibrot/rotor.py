@@ -4,19 +4,28 @@ Symmetric tops have the closed-form energy B J(J+1) + (A-B) k^2, rederived
 here through the Frobenius series of the polar equation whose truncation
 quantizes the spectrum.  Asymmetric tops are solved in the symmetric-top
 |J,k> basis, where H couples k only to k +- 2: each of the Wang parity
-blocks E+/E-/O+/O- of a J manifold is tridiagonal, so the blocks are built
-straight from the two diagonals of H, and the levels are their eigenvalues
-(eigvalsh; no eigenvectors), returned as `RotorLevels`: arrays of J,
+blocks E+/E-/O+/O- of a J manifold is tridiagonal, so each block is built
+as its two diagonals straight from the two diagonals of H.  The levels are
+the blocks' eigenvalues, returned as `RotorLevels`: arrays of J,
 parity-class code, in-block index and energy (degeneracy 2J+1) that index
-as `RotorLevel` views.  Symmetric-top wavefunctions use Wigner's d in
-Jacobi-polynomial form.  All energies are in the units of the rotational
-constants (cm^-1 by convention); hbar is absorbed into them.
+as `RotorLevel` views.  They come from LAPACK's root-free tridiagonal
+QL/QR, dsterf, called through ctypes in the OpenBLAS library that numpy's
+wheel ships.  np.linalg.eigvalsh scales a matrix, reduces it to
+tridiagonal form and runs the same dsterf; with its scaling steps repeated
+here, the levels equal eigvalsh's to the bit.  dsterf calls no BLAS, so
+they cannot depend on the BLAS thread count.  Where numpy's build has no
+dsterf, dense eigvalsh runs and gives the same bytes.  Symmetric-top
+wavefunctions use Wigner's d in Jacobi-polynomial form.  All energies are
+in the units of the rotational constants (cm^-1 by convention); hbar is
+absorbed into them.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -351,26 +360,97 @@ def _wang_label(j: int, kabs: int, sign: int) -> str:
 
 
 def _parity_blocks(d: np.ndarray, o: np.ndarray, j: int) -> list:
-    """The Wang blocks E+, E-, O+, O- of one J, built from the band of H.
+    """The Wang blocks E+, E-, O+, O- of one J, as bands read from the band of H.
 
     In the basis (|J,k,0> +- |J,-k,0>)/sqrt(2) (|J,0,0> alone in E+), each
     block is tridiagonal over its |k| values in ascending order, with the
     diagonal d_k and the coupling o_k between |k| and |k|+2.  Two elements
     differ: |0> couples to |2,+> with sqrt(2) o_0, and the |1,+-> diagonal
-    is d_1 +- H[1,-1].  Returns (parity class, |k| values, matrix) per block.
+    is d_1 +- H[1,-1].  Returns (parity class, lowest |k|, diagonal,
+    off-diagonal) per block.
     """
     blocks = []
     for cls, start in zip(PARITY_CLASSES, (0, 2, 1, 1)):
-        ks = np.arange(start, j + 1, 2)
-        h = np.diag(d[ks + j])
-        rows = np.arange(ks.size - 1)
-        h[rows, rows + 1] = h[rows + 1, rows] = o[ks[:-1] + j]
+        diag, off = d[j + start :: 2].copy(), o[j + start :: 2].copy()
         if start == 0 and j >= 2:
-            h[0, 1] = h[1, 0] = math.sqrt(2.0) * o[j]
+            off[0] = math.sqrt(2.0) * o[j]
         elif start == 1 and j >= 1:
-            h[0, 0] += o[j - 1] if cls == "O+" else -o[j - 1]
-        blocks.append((cls, ks, h))
+            diag[0] += o[j - 1] if cls == "O+" else -o[j - 1]
+        blocks.append((cls, start, diag, off))
     return blocks
+
+
+def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with the given diagonal and off-diagonal."""
+    h = np.diag(diag)
+    rows = np.arange(off.size)
+    h[rows, rows + 1] = h[rows + 1, rows] = off
+    return h
+
+
+# dsyevd's scaling range: sqrt(safe minimum / precision) and its inverse
+_RMIN = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
+_RMAX = 1.0 / _RMIN
+
+
+@functools.cache
+def _dsterf(libs=None, symbol: str = "scipy_dsterf_64_"):
+    """LAPACK's dsterf(n, d, e, info) with 64-bit integers, from the OpenBLAS
+    library in the directory libs, by default the one numpy's wheel ships
+    (numpy.libs), looked up on the first rotor call.  None when the
+    directory, the library or the symbol is missing, as on other builds."""
+    import ctypes  # numpy has loaded ctypes and pathlib; importing vibrot loads neither
+    import pathlib
+
+    try:
+        libs = pathlib.Path(libs or pathlib.Path(np.__file__).parents[1] / "numpy.libs")
+        path = next(p for p in libs.iterdir() if p.name.startswith("libscipy_openblas64_"))
+        fn = getattr(ctypes.CDLL(str(path)), symbol)
+    except (OSError, StopIteration, AttributeError, TypeError):
+        return None
+    fn.argtypes = [ctypes.c_void_p] * 4
+    fn.restype = None
+
+    def dsterf(n: int, band: np.ndarray) -> int:
+        """Run dsterf on band, the diagonal (n values) then the off-diagonal;
+        the diagonal becomes the ascending eigenvalues.  Returns info."""
+        size, info = ctypes.c_int64(n), ctypes.c_int64()
+        data = band.ctypes.data
+        fn(ctypes.byref(size), data, data + 8 * n, ctypes.byref(info))
+        return info.value
+
+    return dsterf
+
+
+def _eigvalsh_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of _dense(diag, off), bit for bit, without the matrix.
+
+    eigvalsh's dsyevd scales the matrix into range, reduces it to tridiagonal
+    form (which changes nothing here) and calls dsterf; this repeats its
+    quick return for one row and its scaling by sigma and 1/sigma around a
+    direct dsterf call, or runs the dense eigvalsh without dsterf.  The
+    entries must be finite: in asymmetric_levels they are once the band of
+    H is, as a sum of two band values is below the largest diagonal value
+    unless it fills a one-row block.
+    """
+    n = diag.size
+    if n <= 1:
+        return diag.copy()
+    dsterf = _dsterf()
+    if dsterf is None:
+        return np.linalg.eigvalsh(_dense(diag, off))
+    band = np.concatenate((diag, off))
+    anrm = np.abs(band).max()
+    scaled = 0 < anrm < _RMIN or anrm > _RMAX
+    if scaled:
+        sigma = (_RMIN if anrm < _RMIN else _RMAX) / anrm
+        band *= sigma
+    if dsterf(n, band):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    w = band[:n]
+    if scaled:
+        w *= 1.0 / sigma
+    return w
 
 
 def wang_blocks(h: np.ndarray, j: int) -> list:
@@ -385,14 +465,15 @@ def wang_blocks(h: np.ndarray, j: int) -> list:
     if h.shape != (dim, dim):
         raise InvalidQuantumNumbers(f"Hamiltonian shape {h.shape} does not match J={j}")
     blocks = []
-    for cls, ks, sub in _parity_blocks(h.diagonal(), h.diagonal(2), j):
+    for cls, start, diag, off in _parity_blocks(h.diagonal(), h.diagonal(2), j):
         sign = 1 if cls.endswith("+") else -1
+        sub = _dense(diag, off)
         vals, vecs = np.linalg.eigh(sub)
         blocks.append(
             AsymTopBlock(
                 j=j,
                 parity_class=cls,
-                basis=tuple(_wang_label(j, int(k), sign) for k in ks),
+                basis=tuple(_wang_label(j, k, sign) for k in range(start, j + 1, 2)),
                 hmatrix=sub,
                 eigenvalues=vals,
                 eigenvectors=vecs,
@@ -404,10 +485,11 @@ def wang_blocks(h: np.ndarray, j: int) -> list:
 def asymmetric_levels(spec: RotorSpec, j_max: int) -> RotorLevels:
     """All rotor levels up to j_max, each with its 2J+1 m-degeneracy.
 
-    Each J's Wang blocks are built straight from the band of H and only
-    their eigenvalues are computed.  The levels are ordered by J, then
-    energy, then parity class, then index inside the block.  Raises
-    NonFiniteLevels when the band of H or a level is not finite.
+    Each J's Wang blocks are built as bands straight from the band of H and
+    only their eigenvalues are computed (_eigvalsh_band).  The levels are
+    ordered by J, then energy, then parity class, then index inside the
+    block.  Raises NonFiniteLevels when the band of H or a level is not
+    finite.
     """
     if j_max < 0:
         raise InvalidQuantumNumbers(f"j_max = {j_max} < 0")
@@ -418,8 +500,8 @@ def asymmetric_levels(spec: RotorSpec, j_max: int) -> RotorLevels:
             blocks = _parity_blocks(d, o, j)
         if not (np.isfinite(d).all() and np.isfinite(o).all()):
             raise NonFiniteLevels(f"rotor Hamiltonian for J = {j} is not finite")
-        for _, _, sub in blocks:
-            energies.append(np.linalg.eigvalsh(sub))
+        for _, _, diag, off in blocks:
+            energies.append(_eigvalsh_band(diag, off))
             if not np.isfinite(energies[-1]).all():
                 raise NonFiniteLevels(f"rotor levels for J = {j} are not finite")
     sizes = [v.size for v in energies]

@@ -100,15 +100,49 @@ def water():
     return water_pipeline()
 
 
+def dense_band_blocks(spec, j):
+    """[(parity class, dense Wang block)] of one J, each block placed element
+    by element from the band of H (d[k + J] = H[k, k], o[k + J] = H[k, k + 2]):
+    the dense matrices the dense eigvalsh saw, built without the module's
+    block builder."""
+    d, o = ro._band(spec, j)
+    blocks = []
+    for cls, start in zip(ro.PARITY_CLASSES, (0, 2, 1, 1)):
+        ks = range(start, j + 1, 2)
+        h = np.zeros((len(ks), len(ks)))
+        for i, k in enumerate(ks):
+            h[i, i] = d[k + j]
+            if i:
+                h[i - 1, i] = h[i, i - 1] = o[k - 2 + j]
+        if cls == "E+" and j >= 2:
+            h[0, 1] = h[1, 0] = math.sqrt(2.0) * o[j]  # <0| H |2,+>
+        elif cls in ("O+", "O-") and j >= 1:
+            h[0, 0] += o[j - 1] if cls == "O+" else -o[j - 1]  # +- H[1, -1]
+        blocks.append((cls, h))
+    return blocks
+
+
 def levels_by_tuple_sort(spec, jmax):
     """Rotor levels as RotorLevel objects, each J ordered by sorting
-    (energy, parity class, index) tuples: the ordering the array form keeps."""
+    (energy, parity class, index) tuples: the ordering the array form keeps.
+    The energies are dense eigvalsh's, on dense_band_blocks."""
     levels = []
     for j in range(jmax + 1):
-        d, o = ro._band(spec, j)
         entries = []
-        for cls, _, sub in ro._parity_blocks(d, o, j):
+        for cls, sub in dense_band_blocks(spec, j):
             entries.extend((e, cls, i) for i, e in enumerate(np.linalg.eigvalsh(sub).tolist()))
         entries.sort()
         levels.extend(ro.RotorLevel(j, cls, i, e, 2 * j + 1) for e, cls, i in entries)
     return levels
+
+
+def failed_dsterf_lookup(failure, tmp_path):
+    """(library directory, symbol) for which rotor._dsterf fails as named."""
+    if failure == "no-directory":
+        return tmp_path / "missing", "scipy_dsterf_64_"
+    if failure == "not-a-library":
+        (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
+    if failure in ("no-file", "not-a-library"):
+        return tmp_path, "scipy_dsterf_64_"
+    assert failure == "no-symbol"
+    return Path(np.__file__).parents[1] / "numpy.libs", "scipy_no_such_symbol_64_"

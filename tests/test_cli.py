@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, levels_by_tuple_sort
+from conftest import FIXTURES, failed_dsterf_lookup, levels_by_tuple_sort
 from vibrot import cli
 from vibrot import molecule as mo
 from vibrot import rotor as ro
@@ -423,9 +423,10 @@ beta = 0.0 0.0
         assert not any(out.iterdir())
 
     def test_rotor_outputs_do_not_depend_on_blas_threads(self, tmp_path):
-        # The Wang blocks are tridiagonal already, so eigvalsh's reduction to
-        # tridiagonal form is exact and the levels cannot depend on how BLAS
-        # splits the work.
+        # The Wang blocks are tridiagonal already and go straight to LAPACK's
+        # dsterf, which calls no BLAS, so the levels cannot depend on how BLAS
+        # splits the work.  The dense eigvalsh fallback first reduces each
+        # block to tridiagonal form, which changes nothing on such a block.
         src = str(Path(cli.__file__).parents[1])
         outputs = []
         for threads in ("1", "2"):
@@ -613,6 +614,37 @@ beta = 0.0 0.0
         # rotor constants derived from the molecular inertia
         assert report["rotor"]["classification"] == "asymmetric"
         assert len(report["modes"]["frequencies"]) == 3
+
+    def test_parser_is_shared_and_keeps_no_state(self, tmp_path):
+        water = str(FIXTURES / "water.inp")
+        assert cli.main(["analyze", water, "--tasks", "rotor,modes", "--units", "natural",
+                         "--jmax", "2", "--frames", "3", "--amplitude", "0.1",
+                         "--out", str(tmp_path / "options")]) == 0
+        assert cli.main(["analyze", water, "--out", str(tmp_path / "defaults")]) == 0
+        assert cli._parser() is cli._parser()
+        # the second call took every default, as a job built without the parser does
+        assert run(JobSpec(input_path=FIXTURES / "water.inp", tasks=("modes",),
+                           output_dir=tmp_path / "direct")) == 0
+        for name in ("report.json", "modes.xyz"):
+            assert (tmp_path / "defaults" / name).read_bytes() == (
+                tmp_path / "direct" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "defaults").iterdir()) == [
+            "modes.xyz", "report.json"]
+
+    def test_import_adds_no_module_beyond_these(self):
+        # numpy loads ctypes and pathlib, which the rotor's LAPACK lookup uses
+        # on its first call; importing vibrot.cli must load nothing more
+        code = ("import sys, numpy\n"
+                "before = set(sys.modules)\n"
+                "import vibrot.cli\n"
+                "print(*sorted(m for m in set(sys.modules) - before"
+                " if m.partition('.')[0] != 'vibrot'))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True, timeout=60)
+        allowed = {"__future__", "_string", "argparse", "cmath", "copy", "dataclasses",
+                   "gettext", "logging", "string", "traceback"}
+        assert set(result.stdout.split()) <= allowed
 
 
 def xyz_per_line(molecule, result, job):
@@ -878,6 +910,21 @@ class TestJsonEmitter:
     @pytest.mark.parametrize("indent", [0, 3])
     def test_arrays_match_per_element_emitter(self, obj, indent):
         assert cli.emit_json(obj, indent) == emit_json_per_element(obj, indent)
+
+    # 1-D and 2-D arrays of 30 to 33 values, on both sides of the table floor
+    @pytest.mark.parametrize("shape", [(31,), (32,), (33,), (1, 31), (1, 32), (10, 3), (8, 4),
+                                       (11, 3)])
+    @pytest.mark.parametrize("indent", [0, 2])
+    def test_arrays_on_both_sides_of_the_table_floor(self, monkeypatch, shape, indent):
+        assert cli.JSON_TABLE_MIN_VALUES == 32
+        rng = np.random.default_rng(sum(shape))
+        arr = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+        tables = []
+        format_table = cli._format_table
+        monkeypatch.setattr(cli, "_format_table", lambda *a: tables.append(a) or format_table(*a))
+        assert cli.emit_json(arr, indent) == emit_json_per_element(arr, indent)
+        assert len(tables) == (arr.size >= 32)  # the table path exactly from the floor on
+        assert cli.emit_json(arr.tolist(), indent) == emit_json_per_element(arr.tolist(), indent)
 
     @pytest.mark.parametrize("shape", [(7,), (3, 4), (3, 4, 2), (1, 1, 9)])
     def test_arrays_across_format_blocks(self, monkeypatch, shape):
@@ -1297,3 +1344,42 @@ class TestTaskTable:
         size = (tmp_path / "report.json").stat().st_size
         assert size > 5e6
         assert peaks["report.json"] < size / 4
+
+
+HUGE_ROTOR = "\n[rotor]\na = 2.788e151\nb = 1.451e151\nc = 9.28e150\n"
+
+
+class TestRotorBandSolver:
+    """The rotor task solves each Wang band with LAPACK's dsterf when numpy's
+    OpenBLAS has it, and otherwise with dense eigvalsh, to the same bytes."""
+
+    @staticmethod
+    def rotor_outputs(out, inputs):
+        files = []
+        for i, (path, jmax) in enumerate(inputs):
+            assert cli.main(["analyze", str(path), "--tasks", "rotor", "--jmax", str(jmax),
+                             "--out", str(out / str(i))]) == 0
+            files += [(out / str(i) / name).read_bytes() for name in ("report.json", "levels.txt")]
+        return files
+
+    @pytest.mark.parametrize("failure", ["no-file", "no-symbol"])
+    def test_forced_fallback_keeps_the_bytes(self, tmp_path, monkeypatch, failure):
+        # constants near 1e151 make dsyevd scale every block first
+        huge = write_input(tmp_path, (FIXTURES / "water.inp").read_text() + HUGE_ROTOR)
+        inputs = [(FIXTURES / "water.inp", 40), (huge, 40)]
+        want = self.rotor_outputs(tmp_path / "found", inputs)
+        libs, symbol = failed_dsterf_lookup(failure, tmp_path)
+        lookup = ro._dsterf
+        assert lookup(libs, symbol) is None
+        monkeypatch.setattr(ro, "_dsterf", lambda: lookup(libs, symbol))
+        assert self.rotor_outputs(tmp_path / "fallback", inputs) == want
+
+    @pytest.mark.skipif(ro._dsterf() is None, reason="numpy's build has no dsterf")
+    def test_no_dense_block_or_eigvalsh(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the rotor path solves the bands alone")
+
+        monkeypatch.setattr(ro, "_dense", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        huge = write_input(tmp_path, (FIXTURES / "water.inp").read_text() + HUGE_ROTOR)
+        self.rotor_outputs(tmp_path, [(FIXTURES / "water.inp", 30), (huge, 30)])

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from conftest import levels_by_tuple_sort
+from conftest import dense_band_blocks, failed_dsterf_lookup, levels_by_tuple_sort
 from vibrot import rotor
 from vibrot.frames import EulerAngles
 from vibrot.rotor import (
@@ -551,6 +552,9 @@ class TestAsymmetricLevels:
         for name in ("asymmetric_hamiltonian", "wang_blocks", "ladder_matrix_elements"):
             monkeypatch.setattr(rotor, name, forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        if rotor._dsterf() is not None:  # then no block is dense
+            monkeypatch.setattr(rotor, "_dense", forbidden)
+            monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         assert len(asymmetric_levels(classify(3.7, 2.2, 0.9), 8)) == 81
 
     @pytest.mark.parametrize("abc", [(3.7, 2.2, 0.9), (2.5, 2.5, 2.5)])
@@ -643,6 +647,49 @@ class TestRotorProperties:
         limit = classify(mid, mid, spec.c_const)
         assert limit.classification == "oblate-symmetric"
         self.assert_within_weyl_bound(spec, limit, spec.a_const - spec.b_const, jmax)
+
+
+class TestBandEigenvalues:
+    """_eigvalsh_band against dense eigvalsh, and its fallback."""
+
+    @pytest.mark.skipif(rotor._dsterf() is None, reason="numpy's build has no dsterf")
+    @settings(max_examples=25)
+    @given(st.tuples(positive, positive, positive),
+           st.sampled_from((1e-300, 1e-150, 1.0, 1e150, 1e300))
+           | st.integers(-300, 300).map(lambda e: 10.0**e))
+    def test_dsterf_equals_dense_eigvalsh(self, abc, scale):
+        # beyond 2^(+-485) dsyevd scales the block before dsterf and scales
+        # the eigenvalues back, which moves their last bits
+        spec = classify(*(v * scale for v in abc))
+        for j in range(61):
+            d, o = rotor._band(spec, j)
+            bands = rotor._parity_blocks(d, o, j)
+            for (cls, dense), (_, _, diag, off) in zip(dense_band_blocks(spec, j), bands):
+                got = rotor._eigvalsh_band(diag, off)
+                assert np.array_equal(got, np.linalg.eigvalsh(dense)), (j, cls)
+
+    @pytest.mark.parametrize("failure", ["no-directory", "no-file", "not-a-library", "no-symbol"])
+    def test_failed_lookup_falls_back_to_eigvalsh(self, monkeypatch, tmp_path, failure):
+        libs, symbol = failed_dsterf_lookup(failure, tmp_path)
+        lookup = rotor._dsterf
+        assert lookup(libs, symbol) is None
+        spec = classify(1e150 * 27.88, 1e150 * 14.51, 1e150 * 9.28)
+        want = asymmetric_levels(spec, 30)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        monkeypatch.setattr(rotor, "_dsterf", lambda: lookup(libs, symbol))
+        got = asymmetric_levels(spec, 30)
+        sizes = [n for j in range(31) for n in (j // 2 + 1, j // 2, (j + 1) // 2, (j + 1) // 2)]
+        assert sorted(len(h) for h in calls) == sorted(n for n in sizes if n > 1)
+        for name in ("j", "code", "index", "energy"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_lookup_finds_numpys_dsterf(self):
+        # numpy's own wheels ship this library; other builds take the fallback
+        if not any(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*")):
+            pytest.skip("numpy's build ships no scipy_openblas64")
+        assert rotor._dsterf() is not None
 
 
 class TestValidation:
