@@ -5,16 +5,20 @@ here through the Frobenius series of the polar equation whose truncation
 quantizes the spectrum.  Asymmetric tops are solved in the symmetric-top
 |J,k> basis, where H couples k only to k +- 2: each of the Wang parity
 blocks E+/E-/O+/O- of a J manifold is tridiagonal, so each block is built
-as its two diagonals straight from the two diagonals of H.  The levels are
-the blocks' eigenvalues, returned as `RotorLevels`: arrays of J,
-parity-class code, in-block index and energy (degeneracy 2J+1) that index
-as `RotorLevel` views.  They come from LAPACK's root-free tridiagonal
-QL/QR, dsterf, called through ctypes in the OpenBLAS library that numpy's
-wheel ships.  np.linalg.eigvalsh scales a matrix, reduces it to
-tridiagonal form and runs the same dsterf; with its scaling steps repeated
-here, the levels equal eigvalsh's to the bit.  dsterf calls no BLAS, so
-they cannot depend on the BLAS thread count.  Where numpy's build has no
-dsterf, dense eigvalsh runs and gives the same bytes.  Symmetric-top
+as its two diagonals straight from the two diagonals of H; asymmetric_levels
+packs the blocks of every J into one array.  The levels are the blocks'
+eigenvalues, returned as `RotorLevels`: arrays of J, parity-class code,
+in-block index and energy (degeneracy 2J+1) that index as `RotorLevel`
+views, ordered by a stable sort on (J, energy) of the packed (J, class,
+index) order.  They come from LAPACK's root-free tridiagonal QL/QR, dsterf,
+called through ctypes in the OpenBLAS library that numpy's wheel ships, on
+the calling thread and, for large J ranges on two or more CPUs, one helper
+thread; each block's values do not depend on the thread that solves it.
+np.linalg.eigvalsh scales a matrix, reduces it to tridiagonal form and runs
+the same dsterf; with its scaling steps repeated here, the levels equal
+eigvalsh's to the bit.  dsterf calls no BLAS, so they cannot depend on the
+BLAS thread count.  Where numpy's build has no dsterf, dense eigvalsh runs,
+on one thread, and gives the same bytes.  Symmetric-top
 wavefunctions use Wigner's d in Jacobi-polynomial form.  All energies are
 in the units of the rotational constants (cm^-1 by convention); hbar is
 absorbed into them.
@@ -321,20 +325,28 @@ def ladder_matrix_elements(j: int) -> LadderTable:
     )
 
 
+def _diagonal(spec: RotorSpec, jj, k):
+    """H[k, k] = (B+C)/2 J(J+1) + [A - (B+C)/2] k^2, for jj = J(J+1) and k as floats."""
+    a_c, b_c, c_c = spec.a_const, spec.b_const, spec.c_const
+    return 0.5 * (b_c + c_c) * jj + (a_c - 0.5 * (b_c + c_c)) * (k * k)
+
+
+def _coupling(spec: RotorSpec, jj, k):
+    """H[k, k+2] = (B-C)/4 sqrt(J(J+1) - (k+2)(k+1)) sqrt(J(J+1) - (k+1)k), as _diagonal."""
+    return 0.25 * (spec.b_const - spec.c_const) * (
+        np.sqrt(jj - (k + 2) * (k + 1)) * np.sqrt(jj - (k + 1) * k)
+    )
+
+
 def _band(spec: RotorSpec, j: int):
     """The two diagonals of the J Hamiltonian, indexed by k + J.
 
-    d[k + J] = H[k, k] = (B+C)/2 J(J+1) + [A - (B+C)/2] k^2 for k = -J..J;
-    o[k + J] = H[k, k+2] = (B-C)/4 sqrt(J(J+1) - (k+2)(k+1)) sqrt(J(J+1) - (k+1)k)
-    for k = -J..J-2.  Every other element of H is zero.
+    d[k + J] = H[k, k] for k = -J..J and o[k + J] = H[k, k+2] for k = -J..J-2;
+    every other element of H is zero.
     """
-    a_c, b_c, c_c = spec.a_const, spec.b_const, spec.c_const
     jj = float(j * (j + 1))
     ks = np.arange(-j, j + 1, dtype=float)
-    d = 0.5 * (b_c + c_c) * jj + (a_c - 0.5 * (b_c + c_c)) * (ks * ks)
-    k = ks[:-2]
-    o = 0.25 * (b_c - c_c) * (np.sqrt(jj - (k + 2) * (k + 1)) * np.sqrt(jj - (k + 1) * k))
-    return d, o
+    return _diagonal(spec, jj, ks), _coupling(spec, jj, ks[:-2])
 
 
 def asymmetric_hamiltonian(spec: RotorSpec, j: int) -> np.ndarray:
@@ -391,14 +403,21 @@ def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 # dsyevd's scaling range: sqrt(safe minimum / precision) and its inverse
 _RMIN = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
 _RMAX = 1.0 / _RMIN
+# Work, in the sum of n^2 over the blocks, from which asymmetric_levels runs
+# dsterf on a helper thread too.  Measured on a 2-core host with (A, B, C) =
+# (27.88, 14.51, 9.28): the split cost 0.4-0.5 ms more than it saved at
+# jmax 40-45 (2.3e4-3.2e4), broke even near jmax 55-60 (5.9e4-7.6e4) and
+# saved 11 % at jmax 70 (1.2e5), 38 % at jmax 200 (2.7e6).  jmax 5 gives 68.
+_SPLIT_WORK = 100_000
 
 
 @functools.cache
 def _dsterf(libs=None, symbol: str = "scipy_dsterf_64_"):
-    """LAPACK's dsterf(n, d, e, info) with 64-bit integers, from the OpenBLAS
-    library in the directory libs, by default the one numpy's wheel ships
-    (numpy.libs), looked up on the first rotor call.  None when the
-    directory, the library or the symbol is missing, as on other builds."""
+    """LAPACK's dsterf(n, d, e, info), every argument an address and n and
+    info 64-bit integers, from the OpenBLAS library in the directory libs, by
+    default the one numpy's wheel ships (numpy.libs), looked up on the first
+    rotor call.  None when the directory, the library or the symbol is
+    missing, as on other builds."""
     import ctypes  # numpy has loaded ctypes and pathlib; importing vibrot loads neither
     import pathlib
 
@@ -410,16 +429,63 @@ def _dsterf(libs=None, symbol: str = "scipy_dsterf_64_"):
         return None
     fn.argtypes = [ctypes.c_void_p] * 4
     fn.restype = None
+    return fn
 
-    def dsterf(n: int, band: np.ndarray) -> int:
-        """Run dsterf on band, the diagonal (n values) then the off-diagonal;
-        the diagonal becomes the ascending eigenvalues.  Returns info."""
-        size, info = ctypes.c_int64(n), ctypes.c_int64()
-        data = band.ctypes.data
-        fn(ctypes.byref(size), data, data + 8 * n, ctypes.byref(info))
-        return info.value
 
-    return dsterf
+def _sterf(dsterf, sizes, diags) -> None:
+    """Run dsterf in place on each block: sizes[i] diagonal values from the
+    address diags[i] on, the off-diagonal right after them.  Each diagonal
+    becomes its block's ascending eigenvalues.  It calls nothing but dsterf,
+    which ctypes runs without the GIL, so a helper thread may run it."""
+    import ctypes
+
+    n, info = ctypes.c_int64(), ctypes.c_int64()
+    n_at, info_at = ctypes.byref(n), ctypes.byref(info)
+    for size, diag in zip(sizes, diags):
+        n.value = size
+        dsterf(n_at, diag, diag + 8 * size, info_at)
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (os.cpu_count() where that is unknown)."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sterf_split(dsterf, sizes: np.ndarray, diags: np.ndarray) -> None:
+    """_sterf on the blocks, split into two halves of equal sum n^2 run on
+    this thread and one helper thread when the process may use two CPUs and
+    the blocks carry _SPLIT_WORK; each block's values do not depend on the
+    split.  The helper is always joined, and its exception re-raised."""
+    work = np.cumsum(sizes * sizes)
+    if not work.size or work[-1] < _SPLIT_WORK or _usable_cpus() < 2:
+        _sterf(dsterf, sizes.tolist(), diags.tolist())
+        return
+    import threading  # logging has loaded it
+
+    half = int(np.searchsorted(work, work[-1] / 2))
+    helper_sizes, helper_diags = sizes[half:].tolist(), diags[half:].tolist()
+    failures = []
+
+    def helper():
+        try:
+            _sterf(dsterf, helper_sizes, helper_diags)
+        except BaseException as exc:  # re-raised on the calling thread
+            failures.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        _sterf(dsterf, sizes[:half].tolist(), diags[:half].tolist())
+    finally:
+        thread.join()
+    if failures:
+        raise failures[0]
 
 
 def _eigvalsh_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -445,8 +511,7 @@ def _eigvalsh_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if scaled:
         sigma = (_RMIN if anrm < _RMIN else _RMAX) / anrm
         band *= sigma
-    if dsterf(n, band):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    _sterf(dsterf, [n], [band.ctypes.data])
     w = band[:n]
     if scaled:
         w *= 1.0 / sigma
@@ -482,34 +547,78 @@ def wang_blocks(h: np.ndarray, j: int) -> list:
     return blocks
 
 
+def _ramps(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[0] - 1, then 0, 1, ..., counts[1] - 1, and so on."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def asymmetric_levels(spec: RotorSpec, j_max: int) -> RotorLevels:
     """All rotor levels up to j_max, each with its 2J+1 m-degeneracy.
 
-    Each J's Wang blocks are built as bands straight from the band of H and
-    only their eigenvalues are computed (_eigvalsh_band).  The levels are
-    ordered by J, then energy, then parity class, then index inside the
-    block.  Raises NonFiniteLevels when the band of H or a level is not
-    finite.
+    The Wang blocks E+, E-, O+, O- of every J are built as bands, with
+    _parity_blocks' elements, in one array: each block's diagonal, then its
+    off-diagonal, in the order (J, parity class).  Only their eigenvalues are
+    computed, with _eigvalsh_band's values; blocks of two rows or more within
+    dsyevd's scaling range go to dsterf in place, on up to two threads
+    (_sterf_split).  A stable sort by (J, energy) then orders the levels by J,
+    energy, parity class and index inside the block.  Raises NonFiniteLevels
+    when the band of H or a level is not finite, naming the lowest such J.
     """
     if j_max < 0:
         raise InvalidQuantumNumbers(f"j_max = {j_max} < 0")
-    energies = []  # block b of J at entry 4 J + b
-    for j in range(j_max + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            d, o = _band(spec, j)
-            blocks = _parity_blocks(d, o, j)
-        if not (np.isfinite(d).all() and np.isfinite(o).all()):
-            raise NonFiniteLevels(f"rotor Hamiltonian for J = {j} is not finite")
-        for _, _, diag, off in blocks:
-            energies.append(_eigvalsh_band(diag, off))
-            if not np.isfinite(energies[-1]).all():
-                raise NonFiniteLevels(f"rotor levels for J = {j} are not finite")
-    sizes = [v.size for v in energies]
-    j = np.repeat(np.arange(j_max + 1).repeat(len(PARITY_CLASSES)), sizes)
-    code = np.repeat(np.tile(np.arange(len(PARITY_CLASSES), dtype=np.int8), j_max + 1), sizes)
-    index = np.concatenate([np.arange(n) for n in sizes])
-    energy = np.concatenate(energies)
-    order = np.lexsort((index, code, energy, j))
+    js = np.arange(j_max + 1).repeat(4)  # E+, E-, O+, O- of each J
+    start = np.tile([0, 2, 1, 1], j_max + 1)  # each block's lowest |k|
+    size = (js - start) // 2 + 1
+    width = np.maximum(2 * size - 1, 0)
+    at = np.cumsum(width) - width  # where each block starts
+    # one level per diagonal element, at |k| = start + 2 index
+    j = np.repeat(js, size)
+    index = _ramps(size)
+    diagonal = np.repeat(at, size) + index
+    # the couplings of |k| = start + 2 i to |k| + 2, after the diagonal
+    couplings = np.maximum(size - 1, 0)
+    i = _ramps(couplings)
+    off = np.repeat(at + size, couplings) + i
+    jj = js * (js + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        band = np.empty(width.sum())
+        band[diagonal] = _diagonal(spec, np.repeat(jj, size),
+                                   np.repeat(start, size) + 2.0 * index)
+        band[off] = _coupling(spec, np.repeat(jj, couplings),
+                              np.repeat(start, couplings) + 2.0 * i)
+        h1 = _coupling(spec, jj[4::4], -1.0)  # H[-1, 1] of J = 1..j_max
+        finite = np.isfinite(band)
+        j_bad = j_max + 1  # the lowest J whose band of H is not finite
+        if not (finite.all() and np.isfinite(h1).all()):
+            j_bad = min(np.min(j[~finite[diagonal]], initial=j_bad),
+                        np.min(np.repeat(js, couplings)[~finite[off]], initial=j_bad),
+                        np.min(np.flatnonzero(~np.isfinite(h1)) + 1, initial=j_bad))
+        band[at[8::4] + size[8::4]] *= math.sqrt(2.0)  # E+ of J >= 2: <0|H|2,+>
+        band[at[6::4]] += h1  # O+ of J >= 1: d_1 + H[1,-1]
+        band[at[7::4]] -= h1  # O- of J >= 1: d_1 - H[1,-1]
+        nonempty = size > 0
+        anrm = np.zeros(size.size)
+        anrm[nonempty] = np.maximum.reduceat(np.abs(band), at[nonempty])
+    # the blocks of every J below j_bad
+    solve = (size >= 2) & (js < j_bad)
+    dsterf = _dsterf()
+    dense = solve if dsterf is None else solve & ((0 < anrm) & (anrm < _RMIN) | (anrm > _RMAX))
+    for b in np.flatnonzero(dense):
+        first, n = at[b], size[b]
+        band[first : first + n] = _eigvalsh_band(band[first : first + n],
+                                                 band[first + n : first + 2 * n - 1])
+    if dsterf is not None:
+        direct = solve & ~dense
+        _sterf_split(dsterf, size[direct], band.ctypes.data + 8 * at[direct])
+    energy = band[diagonal[: np.searchsorted(j, j_bad)]]
+    finite = np.isfinite(energy)
+    if not finite.all():
+        j_bad = j[: energy.size][~finite].min()
+        raise NonFiniteLevels(f"rotor levels for J = {j_bad} are not finite")
+    if j_bad <= j_max:
+        raise NonFiniteLevels(f"rotor Hamiltonian for J = {j_bad} is not finite")
+    code = np.repeat(np.tile(np.arange(4, dtype=np.int8), j_max + 1), size)
+    order = np.lexsort((energy, j))
     return RotorLevels(j[order], code[order], index[order], energy[order])
 
 

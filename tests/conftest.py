@@ -1,4 +1,7 @@
+import ctypes
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +149,31 @@ def failed_dsterf_lookup(failure, tmp_path):
         return tmp_path, "scipy_dsterf_64_"
     assert failure == "no-symbol"
     return Path(np.__file__).parents[1] / "numpy.libs", "scipy_no_such_symbol_64_"
+
+
+def set_usable_cpus(monkeypatch, n):
+    """Make the process look as if it could run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def failing_dsterf(dsterf, fail_here):
+    """A foreign function with dsterf's arguments that runs dsterf, except on
+    the first block for which fail_here() is true: there it leaves the block
+    as it is and returns info = 1, as dsterf does when it does not converge."""
+    failed = []
+
+    @ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    def stub(n, d, e, info):
+        if not failed and fail_here():
+            failed.append(threading.current_thread())
+            ctypes.c_int64.from_address(info).value = 1
+        else:
+            dsterf(n, d, e, info)
+
+    stub.failed = failed
+    return stub
+
+
+def on_helper_thread():
+    return threading.current_thread() is not threading.main_thread()

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, failed_dsterf_lookup, levels_by_tuple_sort
+from conftest import (
+    FIXTURES,
+    failed_dsterf_lookup,
+    failing_dsterf,
+    levels_by_tuple_sort,
+    on_helper_thread,
+    set_usable_cpus,
+)
 from vibrot import cli
 from vibrot import molecule as mo
 from vibrot import rotor as ro
@@ -427,20 +434,52 @@ beta = 0.0 0.0
         # dsterf, which calls no BLAS, so the levels cannot depend on how BLAS
         # splits the work.  The dense eigvalsh fallback first reduces each
         # block to tridiagonal form, which changes nothing on such a block.
+        # At jmax 80 the blocks are split between two threads unless the
+        # process sees one CPU, which the last run fakes; each block's values
+        # do not depend on the thread that solves it.
         src = str(Path(cli.__file__).parents[1])
+        one_cpu = ("import os, sys\n"
+                   "os.sched_getaffinity = lambda pid: {0}\n"
+                   "os.cpu_count = lambda: 1\n"
+                   "from vibrot import cli\n"
+                   "sys.exit(cli.main(sys.argv[1:]))\n")
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
+        for threads, split in (("1", True), ("2", True), ("2", False)):
+            out = tmp_path / f"threads{threads}-split{split}"
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            program = ["-m", "vibrot.cli"] if split else ["-c", one_cpu]
             subprocess.run(
-                [sys.executable, "-m", "vibrot.cli", "analyze", str(FIXTURES / "water.inp"),
-                 "--tasks", "rotor", "--jmax", "60", "--out", str(out)],
+                [sys.executable, *program, "analyze", str(FIXTURES / "water.inp"),
+                 "--tasks", "rotor", "--jmax", "80", "--out", str(out)],
                 env=env, check=True, timeout=120,
             )
             outputs.append([(out / name).read_bytes() for name in ("report.json", "levels.txt")])
-        assert outputs[0] == outputs[1]
-        assert outputs[0][1].count(b"\n") == 2 + 61**2
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][1].count(b"\n") == 2 + 81**2
+
+    @pytest.mark.skipif(ro._dsterf() is None, reason="numpy's build has no dsterf")
+    def test_failed_dsterf_on_the_helper_thread_exits_3(self, tmp_path, monkeypatch, capsys):
+        stub = failing_dsterf(ro._dsterf(), on_helper_thread)
+        monkeypatch.setattr(ro, "_dsterf", lambda: stub)
+        set_usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(FIXTURES / "water.inp"), "--tasks", "rotor",
+                         "--jmax", "80", "--out", str(out)]) == 3
+        assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+        assert stub.failed and not any(out.iterdir())
+
+    def test_a_report_is_one_emit_json_call(self, tmp_path, monkeypatch):
+        # the scalars of the report take a private formatter, not emit_json
+        calls = []
+        emit_json = cli.emit_json
+        monkeypatch.setattr(cli, "emit_json",
+                            lambda *a, **k: calls.append(a) or emit_json(*a, **k))
+        assert cli.main(["analyze", str(FIXTURES / "water.inp"), "--tasks",
+                         "modes,watson-diagnostics,rotor", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert calls[0][0]["rotor"]["jmax"] == report["rotor"]["jmax"] == 5
 
     @pytest.mark.parametrize(
         "option,message",

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from conftest import dense_band_blocks, failed_dsterf_lookup, levels_by_tuple_sort
+from conftest import (
+    dense_band_blocks,
+    failed_dsterf_lookup,
+    failing_dsterf,
+    levels_by_tuple_sort,
+    on_helper_thread,
+    set_usable_cpus,
+)
 from vibrot import rotor
 from vibrot.frames import EulerAngles
 from vibrot.rotor import (
@@ -692,6 +701,82 @@ class TestBandEigenvalues:
         assert rotor._dsterf() is not None
 
 
+# The smallest jmax whose dsterf blocks carry rotor._SPLIT_WORK.
+SPLIT_JMAX = next(
+    jmax for jmax in range(400)
+    if sum(n * n for j in range(jmax + 1)
+           for n in (j // 2 + 1, j // 2, (j + 1) // 2, (j + 1) // 2) if n > 1)
+    >= rotor._SPLIT_WORK
+)
+
+
+def levels_on_threads(spec, jmax, cpus):
+    """(levels, idents of the threads that ran dsterf) with cpus usable CPUs."""
+    threads = set()
+    sterf = rotor._sterf
+    with pytest.MonkeyPatch.context() as mp:
+        set_usable_cpus(mp, cpus)
+        mp.setattr(rotor, "_sterf", lambda *args: threads.add(threading.get_ident())
+                   or sterf(*args))
+        return asymmetric_levels(spec, jmax), threads
+
+
+@pytest.mark.skipif(rotor._dsterf() is None, reason="numpy's build has no dsterf")
+class TestTwoThreadSplit:
+    """The dsterf blocks of a large jmax, split between two threads."""
+
+    @settings(max_examples=12)
+    @given(st.tuples(positive, positive, positive),
+           st.sampled_from((1.0, 2.0**-500, 2.0**-490, 2.0**470, 2.0**500)),
+           st.integers(SPLIT_JMAX, SPLIT_JMAX + 20))
+    def test_split_equals_one_thread_and_dense_eigvalsh(self, abc, scale, jmax):
+        # beyond 2^(+-485) a block is scaled before dsterf: at 2^-500 and
+        # 2^470 some blocks of each J range are, at 2^500 all of them
+        spec = classify(*(v * scale for v in abc))
+        threads = threading.active_count()
+        split, helpers = levels_on_threads(spec, jmax, 2)
+        single, ran = levels_on_threads(spec, jmax, 1)
+        assert threading.active_count() == threads
+        assert len(ran) <= 1 and len(helpers) <= 2  # scaled blocks may leave too little to split
+        for name in ("j", "code", "index", "energy"):
+            assert np.array_equal(getattr(split, name), getattr(single, name))
+        assert list(split) == levels_by_tuple_sort(spec, jmax)
+
+    def test_unscaled_large_jmax_runs_on_two_threads(self):
+        spec = classify(27.88, 14.51, 9.28)
+        _, helpers = levels_on_threads(spec, SPLIT_JMAX, 2)
+        assert len(helpers) == 2
+        _, helpers = levels_on_threads(spec, SPLIT_JMAX - 1, 2)
+        assert len(helpers) == 1
+
+    def test_split_under_a_short_switch_interval(self):
+        # the threads write disjoint blocks of one array; switching between
+        # them every microsecond must not change a value
+        spec = classify(27.88, 14.51, 9.28)
+        want, _ = levels_on_threads(spec, SPLIT_JMAX + 30, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, helpers = levels_on_threads(spec, SPLIT_JMAX + 30, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(helpers) == 2
+        for name in ("j", "code", "index", "energy"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_block_raises_linalgerror(self, monkeypatch, cpus):
+        # with two CPUs the helper thread's first block fails, else the first block
+        stub = failing_dsterf(rotor._dsterf(), on_helper_thread if cpus == 2 else lambda: True)
+        monkeypatch.setattr(rotor, "_dsterf", lambda: stub)
+        set_usable_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            asymmetric_levels(classify(27.88, 14.51, 9.28), SPLIT_JMAX)
+        assert threading.active_count() == threads
+        assert len(stub.failed) == 1 and (stub.failed[0] is threading.main_thread()) == (cpus == 1)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "consts",
@@ -701,6 +786,16 @@ class TestValidation:
     def test_overflowing_constants_raise(self, consts):
         with pytest.raises(NonFiniteLevels):
             asymmetric_levels(classify(*consts), 2)
+
+    @pytest.mark.parametrize(
+        "consts,jmax,message",
+        [((1e308, 8.5e307, 1e306), 3, "rotor levels for J = 1 are not finite"),  # |1,+> = A + B
+         ((1e308, 5e307, 1e307), 40, "rotor Hamiltonian for J = 2 is not finite"),
+         ((1e305, 5e304, 1e304), 200, "rotor Hamiltonian for J = 43 is not finite")],
+    )
+    def test_non_finite_names_the_lowest_j(self, consts, jmax, message):
+        with pytest.raises(NonFiniteLevels, match=message):
+            asymmetric_levels(classify(*consts), jmax)
 
     def test_negative_j(self):
         with pytest.raises(InvalidQuantumNumbers):
