@@ -189,8 +189,17 @@ def _parse_keyed(lines, section: str, keys: tuple):
 
 
 def _floats(lineno: int, text: str):
+    toks = text.split()
+    try:
+        vals = list(map(float, toks))
+    except ValueError:
+        vals = None
+    # a sum of finite values is finite unless it overflows, which the loop
+    # below clears; the loop names the first bad token, as float() reads it
+    if vals is not None and math.isfinite(sum(vals)):
+        return vals
     vals = []
-    for tok in text.split():
+    for tok in toks:
         try:
             val = float(tok)
         except ValueError:
@@ -576,11 +585,12 @@ def _rows(block: bytes) -> list:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_layout(convs: tuple, seps: tuple, row_end: bytes):
-    """(template, layout) of a table row: each column's cell words, then its
-    separator's words.
+def _row_layout(convs: tuple, seps: tuple, row_end: bytes, lead: int = 0):
+    """(template, layout) of a table row: lead words of prefix, then each
+    column's cell words and its separator's words.
 
-    template is one row with the separators in place and _PAD in the cells;
+    template is one row with the separators in place and _PAD in the prefix
+    and the cells;
     layout holds (conv, its columns, the first word of each of its cells,
     where each of the cell's words goes).  Writers format tables of the same
     columns again and again, so the layouts are kept.
@@ -589,10 +599,10 @@ def _row_layout(convs: tuple, seps: tuple, row_end: bytes):
     sep_bytes[-1] += row_end
     sizes = [(_FLOAT_WORDS.get(conv) or _table_words(conv).shape[1], -(-len(s) // 4))
              for conv, s in zip(convs, sep_bytes)]
-    template = np.frombuffer(b"".join(
+    template = np.frombuffer(_PAD * (4 * lead) + b"".join(
         _PAD * (4 * w) + s.ljust(4 * n, _PAD) for (w, n), s in zip(sizes, sep_bytes)
     ), np.uint32)
-    starts = list(itertools.accumulate((w + n for w, n in sizes), initial=0))
+    starts = list(itertools.accumulate((w + n for w, n in sizes), initial=lead))
     groups = {}
     for c, conv in enumerate(convs):
         groups.setdefault(conv, []).append(c)
@@ -608,28 +618,37 @@ def _row_layout(convs: tuple, seps: tuple, row_end: bytes):
     return template, layout
 
 
-def _format_blocks(values, convs, seps, row_end: bytes = b"", table=np.asarray):
+def _format_blocks(values, convs, seps, row_end: bytes = b"", table=np.asarray, prefix=None):
     """_format_table's rows joined in UTF-8 blocks, each row followed by row_end.
 
     values has a row per table row; table makes the float rows of a slice of
-    it, one block at a time.
+    it, one block at a time.  prefix, if given, holds UTF-8 bytes for each
+    row, written before the row's first cell.
     """
     rows, cols = len(values), len(convs)
-    template, layout = _row_layout(tuple(convs), tuple(seps), row_end)
+    lead = 0
+    if prefix is not None:  # as words, each padded with _PAD to the longest
+        lead = -(-max(map(len, prefix)) // 4)
+        prefix = np.frombuffer(b"".join(p.ljust(4 * lead, _PAD) for p in prefix),
+                               np.uint32).reshape(rows, lead)
+    template, layout = _row_layout(tuple(convs), tuple(seps), row_end, lead)
     step = max(1, FORMAT_BLOCK_VALUES // cols)
     # one buffer for every block: a new one per block let the peak RSS of a
     # long run of jmax-200 rotor jobs creep up by megabytes
     buffer = np.empty((min(step, rows), template.size), np.uint32)
     for start in range(0, rows, step):
+        record = buffer[: min(step, rows - start)]
+        record[:] = template
+        if lead:
+            record[:, :lead] = prefix[start : start + step]
         # no name here holds a block while the next one is formatted
-        yield _format_block(table(values[start : start + step]), buffer, template, layout)
+        yield _format_block(table(values[start : start + step]), record, layout)
 
 
-def _format_block(block, buffer, template, layout) -> bytes:
-    """One block of _format_blocks, built in the first rows of buffer."""
+def _format_block(block, record, layout) -> bytes:
+    """One block of _format_blocks: record holds the template rows of the
+    block, prefixes in place, and its cells are written in."""
     n = len(block)
-    record = buffer[:n]
-    record[:] = template
     long = []  # (word offset, text) of fallback texts wider than their cell
     for conv, sel, at, where in layout:
         flat = block[:, sel].reshape(-1)
@@ -645,7 +664,7 @@ def _format_block(block, buffer, template, layout) -> bytes:
         for r, a, v in zip(row.tolist(), at[col].tolist(), flat[slow].tolist()):
             text = (conv % v).encode()
             if len(text) > size:
-                long.append((r * template.size + a, text))
+                long.append((r * record.shape[1] + a, text))
                 text = _LONG
             texts.append(text.ljust(size, _PAD))
         record[row[:, None], at[col][:, None] + np.arange(len(words))] = np.frombuffer(
@@ -808,23 +827,27 @@ def _solve_modes(parsed: ParsedInput, unit_mode: str) -> nm.NormalModeResult:
 
 
 def _xyz_frames(molecule: mo.Molecule, result, job: JobSpec):
-    """modes.xyz as UTF-8 chunks, two per animation frame."""
+    """modes.xyz as UTF-8 chunks, one per formatted block of (mode, frame) rows.
+
+    A row is one frame: its two header lines and the first atom's label are
+    the row's prefix, and each z is followed by the next atom's label.  Each
+    block of at least one mode, and of at most FORMAT_BLOCK_VALUES values
+    where a mode fits, takes its geometries from one mode_animation call.
+    """
     labels = [atom.label for atom in molecule.atoms]
-    # one row per frame; each z is followed by the next atom's label
     seps = [s for label in labels[1:] for s in (" ", " ", f"\n{label} ")] + [" ", " ", "\n"]
+    frames = job.frames
+    first_label = f"\n{labels[0]} ".encode()
     freqs = result.frequencies_cm.tolist()
-    per_block = max(1, FORMAT_BLOCK_VALUES // (job.frames * len(seps)))
+    per_block = max(1, FORMAT_BLOCK_VALUES // (frames * len(seps)))
     for first in range(0, result.nmodes, per_block):
         modes = range(first, min(first + per_block, result.nmodes))
-        geoms = np.concatenate([
-            nm.mode_animation(molecule, result.cart_displacements[:, i], job.amplitude, job.frames)
-            for i in modes
-        ])
-        rows = _format_table(geoms.reshape(len(geoms), -1), ["%.10f"] * len(seps), seps)
-        for (i, t), row in zip(itertools.product(modes, range(job.frames)), rows):
-            header = f"{molecule.natoms}\nmode={i} freq={freqs[i]:.6f} frame={t}\n{labels[0]} "
-            yield header.encode()
-            yield row
+        geoms = nm.mode_animation(molecule, result.cart_displacements[:, first : modes.stop],
+                                  job.amplitude, frames)
+        heads = [f"{molecule.natoms}\nmode={i} freq={freqs[i]:.6f} frame=".encode() for i in modes]
+        prefix = [head + b"%d" % t + first_label for head in heads for t in range(frames)]
+        yield from _format_blocks(geoms.reshape(len(prefix), -1), ["%.10f"] * len(seps), seps,
+                                  prefix=prefix)
 
 
 # The (conversions, separators) of a levels.txt line, one table row per level

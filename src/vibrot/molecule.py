@@ -66,7 +66,10 @@ class Atom:
 
 @dataclass(frozen=True)
 class Molecule:
-    """Atoms with masses and an equilibrium geometry."""
+    """Atoms with masses and an equilibrium geometry.
+
+    masses and positions are computed once per Molecule, as read-only arrays.
+    """
 
     atoms: tuple
     dimensionality: int = 3
@@ -94,13 +97,15 @@ class Molecule:
     def ncart(self) -> int:
         return self.natoms * self.dimensionality
 
-    @property
+    # the atoms are immutable, so the cached arrays never go stale; they are
+    # read-only, and a caller that needs to change one takes a copy
+    @cached_property
     def masses(self) -> np.ndarray:
-        return np.array([a.mass for a in self.atoms])
+        return _read_only(np.array([a.mass for a in self.atoms]))
 
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
-        return np.array([a.position for a in self.atoms])
+        return _read_only(np.array([a.position for a in self.atoms]))
 
     @property
     def total_mass(self) -> float:
@@ -112,8 +117,12 @@ class Molecule:
 
     @cached_property
     def _inertia(self) -> "InertiaData":
-        # the atoms are immutable, so the frame never goes stale
         return _equilibrium_frame(self)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 # -- internal coordinate kinds ------------------------------------------------

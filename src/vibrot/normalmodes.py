@@ -144,22 +144,25 @@ def mode_animation(
 
     Returns a (frames, natoms, 3) array.  Frame t displaces the equilibrium
     geometry by amplitude * sin(2 pi t / frames) * mode; frame 0 is the
-    equilibrium.
+    equilibrium.  An (ncart, k) block of mode columns gives (k, frames,
+    natoms, 3), each mode's geometries bit-identical to a call for that mode
+    alone: every value is the same product and sum, however many modes.
     """
     if frames < 2:
         raise ValueError("at least 2 frames required")
     if not amplitude > 0:
         raise ValueError("amplitude must be positive")
     mode = np.asarray(mode, dtype=float)
-    if mode.size != mol.ncart:
-        raise DimensionMismatch(
-            f"mode vector has {mode.size} entries, expected {mol.ncart}"
-        )
+    block = mode.ndim == 2
+    entries = mode.shape[0] if block else mode.size
+    if entries != mol.ncart:
+        raise DimensionMismatch(f"mode vector has {entries} entries, expected {mol.ncart}")
     d = mol.dimensionality
-    shaped = mode.reshape(mol.natoms, d)
+    shaped = mode.reshape(mol.ncart, -1).T.reshape(-1, 1, mol.natoms, d)
     factors = np.array(
         [amplitude * math.sin(2.0 * math.pi * t / frames) for t in range(frames)]
     )
-    out = np.repeat(mol.positions[None], frames, axis=0)
-    out[:, :, :d] += factors[:, None, None] * shaped
-    return out
+    out = np.empty((len(shaped), frames, mol.natoms, 3))
+    out[:] = mol.positions
+    out[..., :d] += factors[:, None, None] * shaped
+    return out if block else out[0]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import unittest.mock
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -150,6 +151,28 @@ cart 2 x
         lineno = {"mass": 3, "coordinate": 4, "force constant": 10}[section]
         assert err.value.line == lineno
         assert "not a finite number" in str(err.value)
+
+    # the first bad token in line order is named, as the per-token reading did
+    @pytest.mark.parametrize("text,message", [
+        ("1.0 abc 2", "line 7: not a number: 'abc'"),
+        ("1.0 nan abc", "line 7: not a finite number: 'nan'"),
+        ("abc nan", "line 7: not a number: 'abc'"),
+        ("2 inf", "line 7: not a finite number: 'inf'"),
+        ("-inf", "line 7: not a finite number: '-inf'"),
+        ("1e999 3", "line 7: not a finite number: '1e999'"),
+        ("-1e999", "line 7: not a finite number: '-1e999'"),
+        ("1 2 0x10", "line 7: not a number: '0x10'"),
+        ("NaN", "line 7: not a finite number: 'NaN'"),
+    ])
+    def test_float_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            cli._floats(7, text)
+        assert str(err.value) == message
+
+    def test_floats_whose_sum_overflows_are_read(self):
+        # the fast path's finiteness check fails, and the per-token reading finds no bad token
+        assert cli._floats(1, "1e308 1e308 -1e308 4.9e-324 1_0") == [
+            1e308, 1e308, -1e308, 5e-324, 10.0]
 
     @pytest.mark.parametrize(
         "section,bad",
@@ -737,9 +760,46 @@ class TestXyzWriter:
             cart_displacements=rng.normal(size=(mol.ncart, nmodes)),
         )
         job = JobSpec(input_path="x.inp", frames=frames, amplitude=0.4)
-        text = b"".join(cli._xyz_frames(mol, result, job)).decode()
+        chunks = list(cli._xyz_frames(mol, result, job))
+        assert b"".join(chunks).decode() == xyz_per_line(mol, result, job)
+        assert b"".join(chunks).count(b"\n") == nmodes * frames * 5
+        # one chunk per block: blocks of 2 modes of 2 frames, or of 4 frames of one mode
+        assert len(chunks) == {(1, 2): 1, (2, 2): 1, (3, 2): 2, (2, 5): 4}[nmodes, frames]
+
+    def test_one_chunk_per_block_of_modes(self):
+        parsed = parse_input(FIXTURES / "water.inp")
+        result = cli._solve_modes(parsed, "cm")
+        job = JobSpec(input_path=FIXTURES / "water.inp")
+        assert len(list(cli._xyz_frames(parsed.molecule, result, job))) == 1
+
+    # coordinates of 1e-3 to 1e5 reach the % fallback and integer parts of
+    # more than four digits; 1e11 is wider than its cell
+    COORDINATES = st.one_of(
+        st.floats(1e-3, 1e5), st.floats(-1e5, -1e-3), st.sampled_from([0.0, -0.0, 1e11]))
+
+    @settings(max_examples=60)
+    @given(dim=st.integers(1, 3), natoms=st.integers(1, 4), nmodes=st.integers(1, 3),
+           frames=st.integers(2, 5), block=st.sampled_from([9, 36, 100, 1 << 13]),
+           labels=st.lists(st.text(st.sampled_from("%d\u00d6\x00a\u20ac"), min_size=1, max_size=3),
+                           min_size=4, max_size=4),
+           data=st.data())
+    def test_matches_per_line_writer_on_drawn_molecules(self, dim, natoms, nmodes, frames, block,
+                                                        labels, data):
+        positions = data.draw(st.lists(st.lists(self.COORDINATES, min_size=3, max_size=3),
+                                       min_size=natoms, max_size=natoms))
+        mol = mo.Molecule.from_lists(labels[:natoms], [1.0] * natoms, positions,
+                                     dimensionality=dim)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        displacements = rng.normal(size=(mol.ncart, nmodes))
+        displacements[rng.random(displacements.shape) < 0.2] = -0.0
+        result = SimpleNamespace(
+            nmodes=nmodes, frequencies_cm=rng.normal(size=nmodes) * 1e3,
+            cart_displacements=displacements,
+        )
+        job = JobSpec(input_path="x.inp", frames=frames, amplitude=0.4)
+        with unittest.mock.patch.object(cli, "FORMAT_BLOCK_VALUES", block):
+            text = b"".join(cli._xyz_frames(mol, result, job)).decode()
         assert text == xyz_per_line(mol, result, job)
-        assert text.count("\n") == nmodes * frames * 5
 
 
 def trajectory_csv_per_element(times, states):

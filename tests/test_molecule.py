@@ -82,6 +82,17 @@ class TestMoleculeType:
         assert mol.ncart == 9
         assert mol.total_mass == pytest.approx(18.015)
 
+    def test_masses_and_positions_are_cached_and_read_only(self):
+        mol = water_molecule()
+        want = (np.array([a.mass for a in mol.atoms]), np.array([a.position for a in mol.atoms]))
+        for arr, values in zip((mol.masses, mol.positions), want):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+            assert np.array_equal(arr, values)
+        assert mol.masses is mol.masses and mol.positions is mol.positions
+
 
 class TestBuildBMatrix:
     def test_two_mass_cartesian_coordinates_give_identity(self):

@@ -342,6 +342,25 @@ class TestModeAnimation:
             assert np.array_equal(frames[t], geom)
             assert np.array_equal(np.signbit(frames[t]), np.signbit(geom))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_block_equals_single_mode_calls(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        natoms, k = 5, 4
+        positions = rng.normal(size=(natoms, 3)) * 10.0 ** rng.integers(-3, 5, (natoms, 3))
+        positions[0] = -0.0
+        mol = mo.Molecule.from_lists(
+            [f"A{i}" for i in range(natoms)], [1.0] * natoms, positions, dimensionality=dim,
+        )
+        modes = rng.normal(size=(mol.ncart, k))
+        modes[:, 1] = -0.0
+        block = nm.mode_animation(mol, modes, amplitude=0.29, frames=6)
+        assert block.shape == (k, 6, natoms, 3)
+        for i in range(k):
+            single = nm.mode_animation(mol, modes[:, i], amplitude=0.29, frames=6)
+            assert np.array_equal(block[i].view(np.int64), single.view(np.int64))
+        with pytest.raises(DimensionMismatch):
+            nm.mode_animation(mol, modes[1:], amplitude=0.29, frames=6)
+
     def test_validation(self):
         mol = water_molecule()
         with pytest.raises(ValueError):

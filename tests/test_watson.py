@@ -1,5 +1,6 @@
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ def zeta_per_pair_cross(l):
             c = np.cross(shaped[:, :, k], shaped[:, :, m]).sum(axis=0)
             zeta[:, k, m] = c
             zeta[:, m, k] = -c
+    return zeta
+
+
+def zeta_per_atom_outer(l):
+    """zeta from full n x n per-atom terms l_p l_q^T - l_q l_p^T, summed in
+    atom order from +0.0, the upper triangle kept and negated below; the
+    form coriolis_constants had before it summed only the entries k < l."""
+    natoms = l.shape[0] // 3
+    n = l.shape[1]
+    shaped = l.reshape(natoms, 3, n)
+    upper = np.triu_indices(n, 1)
+    zeta = np.zeros((3, n, n))
+    for alpha, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+        acc = np.zeros((n, n))
+        for i in range(natoms):
+            prod = np.multiply.outer(shaped[i, p], shaped[i, q])
+            acc += prod - prod.T
+        zeta[alpha][upper] = acc[upper]
+        zeta[alpha].T[upper] = -acc[upper]
     return zeta
 
 
@@ -315,6 +335,29 @@ class TestCoriolisBitIdentity:
         _, l = zigzag_chain(24, planar)
         assert l.shape == (72, 45)
         self.assert_bit_identical(l)
+
+
+class TestCoriolisSlabs:
+    # n below, at and above the slab of 64 rows, and small slabs against many rows
+    @settings(max_examples=30)
+    @given(n=st.sampled_from([1, 2, 3, 17, 63, 64, 65, 66, 129]),
+           slab=st.sampled_from([1, 2, 7, wa.ZETA_SLAB_ROWS]),
+           zero_axes=st.sets(st.integers(0, 2), max_size=2), extra_atoms=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_atom_outer_products(self, n, slab, zero_axes, extra_atoms, seed):
+        # l orthonormal on the axes it uses: an unused axis (a planar or
+        # linear input) gives exact zero rows, whose products carry a sign
+        rng = np.random.default_rng(seed)
+        axes = [a for a in range(3) if a not in zero_axes]
+        natoms = -(-n // len(axes)) + extra_atoms
+        q, _ = np.linalg.qr(rng.normal(size=(natoms * len(axes), n)))
+        l = np.zeros((natoms, 3, n))
+        l[:, axes] = q.reshape(natoms, len(axes), n)
+        l = l.reshape(3 * natoms, n)
+        with unittest.mock.patch.object(wa, "ZETA_SLAB_ROWS", slab):
+            got = coriolis_constants(l).zeta
+        want = zeta_per_atom_outer(l)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestInteractionCoefficients:
