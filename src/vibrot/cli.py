@@ -28,7 +28,7 @@ The tasks are a table (_TASKS) in the paper's order: modes, dynamics,
 watson-diagnostics, rotor.  run() checks every selected task, then runs
 them in table order, whatever the order of --tasks, and writes report.json
 last.  Every output is streamed to a binary file in UTF-8 chunks.  Its
-tables come from an exact vectorized formatter (_format_table) that falls
+tables come from an exact vectorized formatter (_format_blocks) that falls
 back to % for every value it cannot prove; the bytes are those of %.
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
 on failure every output file of the run is removed, also one that failed
@@ -277,6 +277,9 @@ def _parse_internal_coordinates(lines, natoms: int, ncart: int, dim: int):
                         f"line {lineno}: lincomb needs {ncart} weights"
                     )
                 coords.append(mo.LinearCombination(weights=tuple(weights)))
+            elif count or kind == "cart":
+                takes = f"{count} atom indices" if count else "an atom index and an axis"
+                raise ParseError(lineno, f"{kind} takes {takes}, got {len(args)}")
             else:
                 raise ParseError(
                     lineno,
@@ -405,7 +408,7 @@ def parse_input(path) -> ParsedInput:
 
 # -- exact float formatting ----------------------------------------------------
 
-# Most values one _format_table block holds (at least one row is taken): a
+# Most values one _format_blocks block holds (at least one row is taken): a
 # block and its temporaries stay near 1 MB, whatever the size of the table.
 # Blocks of 2^14 values took twice the memory and were no faster.
 FORMAT_BLOCK_VALUES = 1 << 13
@@ -420,9 +423,10 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**k < 2**53 for 
 
 # Formatted text is built in uint32 words, so that one store writes 4 bytes.
 # The bytes _PAD, _ROW_END and _LONG never occur in UTF-8: _PAD fills the
-# unused bytes of a word and is deleted on output, _ROW_END follows the last
-# separator of a row and splits the rows, and _LONG stands for a fallback text
-# too wide for its cell, which is spliced in after _PAD is deleted.
+# unused bytes of a word and is deleted on output, _ROW_END marks where a row
+# goes in the brackets of a JSON array (_json_array), whose text around the
+# marks becomes the rows' prefixes, and _LONG stands for a fallback text too
+# wide for its cell, which is spliced in after _PAD is deleted.
 _PAD, _ROW_END, _LONG = b"\xff", b"\xfe", b"\xfd"
 
 
@@ -563,29 +567,8 @@ def _cell_words(values: np.ndarray, conv):
     return words, exact
 
 
-def _format_table(values: np.ndarray, convs, seps):
-    """UTF-8 rows of a (rows, cols) float table, column c formatted by convs[c].
-
-    A conversion is "%.12e", "%.10f" or "%14.6f"; "%d" or "%<width>d" for a
-    column of integers; or a tuple of labels, which the column's values
-    index.  seps holds one string per column, written verbatim after each
-    value of that column.  Every row encodes "".join(conv % v + sep for v,
-    conv, sep in zip(row, convs, seps)), with conv[int(v)] for a label
-    column, for every double: cells that _rounded_digits proves, and
-    integers and labels that a table holds, are built from word tables, and
-    only the others are formatted by conv % v.  Blocks of at most
-    FORMAT_BLOCK_VALUES values are formatted at a time.
-    """
-    # map holds no block while the next one is formatted
-    return itertools.chain.from_iterable(map(_rows, _format_blocks(values, convs, seps, _ROW_END)))
-
-
-def _rows(block: bytes) -> list:
-    return block.split(_ROW_END)[:-1]
-
-
 @functools.lru_cache(maxsize=256)
-def _row_layout(convs: tuple, seps: tuple, row_end: bytes, lead: int = 0):
+def _row_layout(convs: tuple, seps: tuple, lead: int = 0):
     """(template, layout) of a table row: lead words of prefix, then each
     column's cell words and its separator's words.
 
@@ -596,7 +579,6 @@ def _row_layout(convs: tuple, seps: tuple, row_end: bytes, lead: int = 0):
     columns again and again, so the layouts are kept.
     """
     sep_bytes = [s.encode() for s in seps]
-    sep_bytes[-1] += row_end
     sizes = [(_FLOAT_WORDS.get(conv) or _table_words(conv).shape[1], -(-len(s) // 4))
              for conv, s in zip(convs, sep_bytes)]
     template = np.frombuffer(_PAD * (4 * lead) + b"".join(
@@ -618,12 +600,17 @@ def _row_layout(convs: tuple, seps: tuple, row_end: bytes, lead: int = 0):
     return template, layout
 
 
-def _format_blocks(values, convs, seps, row_end: bytes = b"", table=np.asarray, prefix=None):
-    """_format_table's rows joined in UTF-8 blocks, each row followed by row_end.
+def _format_blocks(values, convs, seps, table=np.asarray, prefix=None):
+    """A (rows, cols) float table as UTF-8 text, in blocks of at most
+    FORMAT_BLOCK_VALUES values (at least one row each).
 
     values has a row per table row; table makes the float rows of a slice of
-    it, one block at a time.  prefix, if given, holds UTF-8 bytes for each
-    row, written before the row's first cell.
+    it, one block at a time.  Row i is prefix[i], if prefix is given, then
+    "".join(conv % v + sep for v, conv, sep in zip(row, convs, seps)) for
+    every double, where conv is "%.12e", "%.10f", "%14.6f", "%d",
+    "%<width>d" or a tuple of labels, which gives conv[int(v)].  Cells that
+    _rounded_digits proves, and integers and labels that a table holds, come
+    from word tables; only the others are formatted by conv % v.
     """
     rows, cols = len(values), len(convs)
     lead = 0
@@ -631,7 +618,7 @@ def _format_blocks(values, convs, seps, row_end: bytes = b"", table=np.asarray, 
         lead = -(-max(map(len, prefix)) // 4)
         prefix = np.frombuffer(b"".join(p.ljust(4 * lead, _PAD) for p in prefix),
                                np.uint32).reshape(rows, lead)
-    template, layout = _row_layout(tuple(convs), tuple(seps), row_end, lead)
+    template, layout = _row_layout(tuple(convs), tuple(seps), lead)
     step = max(1, FORMAT_BLOCK_VALUES // cols)
     # one buffer for every block: a new one per block let the peak RSS of a
     # long run of jmax-200 rotor jobs creep up by megabytes
@@ -742,8 +729,10 @@ def _json_chunks(obj, indent: int):
         # finite floats: the same bytes as the element path below
         sep = ",\n" + "  " * (indent + obj.ndim)
         table = obj.astype(float, copy=False).reshape(-1, obj.shape[-1])
-        rows = _format_table(table, ["%.12e"] * table.shape[1], [sep] * (table.shape[1] - 1) + [""])
-        yield from _json_array(obj.shape, indent, rows)
+        *prefix, closing = b"".join(_json_array(obj.shape, indent)).split(_ROW_END)
+        yield from _format_blocks(table, ["%.12e"] * table.shape[1],
+                                  [sep] * (table.shape[1] - 1) + [""], prefix=prefix)
+        yield closing
     elif isinstance(obj, _JSON_CONTAINERS):  # an empty RotorLevels too
         keyed = isinstance(obj, dict)
         opening, closing = "{}" if keyed else "[]"
@@ -764,15 +753,15 @@ def _json_chunks(obj, indent: int):
         yield _json_scalar(obj).encode()
 
 
-def _json_array(shape, indent: int, rows):
-    """A float array as nested lists, its innermost rows taken from rows."""
+def _json_array(shape, indent: int):
+    """A float array as nested lists, with _ROW_END for each innermost row."""
     inner = ("\n" + "  " * (indent + 1)).encode()
     if len(shape) == 1:
-        yield b"[" + inner + next(rows)
+        yield b"[" + inner + _ROW_END
     else:
         for i in range(shape[0]):
             yield (b"," if i else b"[") + inner
-            yield from _json_array(shape[1:], indent + 1, rows)
+            yield from _json_array(shape[1:], indent + 1)
     yield ("\n" + "  " * indent + "]").encode()
 
 
@@ -786,8 +775,8 @@ def _level_list(levels: ro.RotorLevels, indent: int):
             "," + key + '"degeneracy": ')
     more, last = seps + (entry + "}," + opening,), seps + (entry + "}",)
     yield ("[" + opening).encode()
-    yield from _format_blocks(levels[:-1], convs, more, b"", _level_table)
-    yield from _format_blocks(levels[-1:], convs, last, b"", _level_table)
+    yield from _format_blocks(levels[:-1], convs, more, _level_table)
+    yield from _format_blocks(levels[-1:], convs, last, _level_table)
     yield ("\n" + "  " * indent + "]").encode()
 
 
@@ -868,7 +857,7 @@ def _levels_text(spec: ro.RotorSpec, levels: ro.RotorLevels):
         f"({spec.classification})\n"
         "#   J  parity  index        E(cm-1)  degeneracy\n"
     ).encode()
-    yield from _format_blocks(levels, *_LEVEL_LINE, b"", _level_table)
+    yield from _format_blocks(levels, *_LEVEL_LINE, _level_table)
 
 
 def _trajectory_csv(times, states):

@@ -14,11 +14,14 @@ index) order.  They come from LAPACK's root-free tridiagonal QL/QR, dsterf,
 called through ctypes in the OpenBLAS library that numpy's wheel ships, on
 the calling thread and, for large J ranges on two or more CPUs, one helper
 thread; each block's values do not depend on the thread that solves it.
-np.linalg.eigvalsh scales a matrix, reduces it to tridiagonal form and runs
-the same dsterf; with its scaling steps repeated here, the levels equal
+np.linalg.eigvalsh scales a matrix outside a safe range, reduces it to
+tridiagonal form and runs the same dsterf.  Here every block takes one
+dsterf path: a block outside that range is scaled inside the packed array
+first and its eigenvalues are scaled back after, so the levels equal
 eigvalsh's to the bit.  dsterf calls no BLAS, so they cannot depend on the
 BLAS thread count.  Where numpy's build has no dsterf, dense eigvalsh runs,
-on one thread, and gives the same bytes.  Symmetric-top
+on one thread, and gives the same bytes.  A linear rotor has one level,
+B J(J+1), per J.  Symmetric-top
 wavefunctions use Wigner's d in Jacobi-polynomial form.  All energies are
 in the units of the rotational constants (cm^-1 by convention); hbar is
 absorbed into them.
@@ -488,36 +491,6 @@ def _sterf_split(dsterf, sizes: np.ndarray, diags: np.ndarray) -> None:
         raise failures[0]
 
 
-def _eigvalsh_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of _dense(diag, off), bit for bit, without the matrix.
-
-    eigvalsh's dsyevd scales the matrix into range, reduces it to tridiagonal
-    form (which changes nothing here) and calls dsterf; this repeats its
-    quick return for one row and its scaling by sigma and 1/sigma around a
-    direct dsterf call, or runs the dense eigvalsh without dsterf.  The
-    entries must be finite: in asymmetric_levels they are once the band of
-    H is, as a sum of two band values is below the largest diagonal value
-    unless it fills a one-row block.
-    """
-    n = diag.size
-    if n <= 1:
-        return diag.copy()
-    dsterf = _dsterf()
-    if dsterf is None:
-        return np.linalg.eigvalsh(_dense(diag, off))
-    band = np.concatenate((diag, off))
-    anrm = np.abs(band).max()
-    scaled = 0 < anrm < _RMIN or anrm > _RMAX
-    if scaled:
-        sigma = (_RMIN if anrm < _RMIN else _RMAX) / anrm
-        band *= sigma
-    _sterf(dsterf, [n], [band.ctypes.data])
-    w = band[:n]
-    if scaled:
-        w *= 1.0 / sigma
-    return w
-
-
 def wang_blocks(h: np.ndarray, j: int) -> list:
     """Parity-adapted blocks of an asymmetric-top J Hamiltonian.
 
@@ -555,17 +528,29 @@ def _ramps(counts: np.ndarray) -> np.ndarray:
 def asymmetric_levels(spec: RotorSpec, j_max: int) -> RotorLevels:
     """All rotor levels up to j_max, each with its 2J+1 m-degeneracy.
 
-    The Wang blocks E+, E-, O+, O- of every J are built as bands, with
-    _parity_blocks' elements, in one array: each block's diagonal, then its
-    off-diagonal, in the order (J, parity class).  Only their eigenvalues are
-    computed, with _eigvalsh_band's values; blocks of two rows or more within
-    dsyevd's scaling range go to dsterf in place, on up to two threads
-    (_sterf_split).  A stable sort by (J, energy) then orders the levels by J,
-    energy, parity class and index inside the block.  Raises NonFiniteLevels
-    when the band of H or a level is not finite, naming the lowest such J.
+    A linear rotor has one level per J, E+ with index 0, at B J(J+1): the
+    k = 0 level of symmetric_top_energy.  For any other rotor the Wang blocks
+    E+, E-, O+, O- of every J are built as bands, with _parity_blocks'
+    elements, in one array: each block's diagonal, then its off-diagonal, in
+    the order (J, parity class).  Only their eigenvalues are computed, by
+    eigvalsh's own steps: every block of two rows or more goes to dsterf in
+    place, on up to two threads (_sterf_split); a block outside dsyevd's
+    scaling range is scaled by sigma before and its eigenvalues by 1 / sigma
+    after.  Without dsterf, eigvalsh runs on each dense block.  A stable sort
+    by (J, energy) then orders the levels by J, energy, parity class and
+    index inside the block.  Raises NonFiniteLevels when the band of H or a
+    level is not finite, naming the lowest such J.
     """
     if j_max < 0:
         raise InvalidQuantumNumbers(f"j_max = {j_max} < 0")
+    if spec.classification == "linear":
+        j = np.arange(j_max + 1)
+        with np.errstate(over="ignore"):  # checked just below
+            energy = spec.b_const * j * (j + 1)
+        if not np.isfinite(energy[-1]):
+            j_bad = np.argmin(np.isfinite(energy))
+            raise NonFiniteLevels(f"rotor levels for J = {j_bad} are not finite")
+        return RotorLevels(j, np.zeros(j.size, np.int8), np.zeros_like(j), energy)
     js = np.arange(j_max + 1).repeat(4)  # E+, E-, O+, O- of each J
     start = np.tile([0, 2, 1, 1], j_max + 1)  # each block's lowest |k|
     size = (js - start) // 2 + 1
@@ -602,14 +587,22 @@ def asymmetric_levels(spec: RotorSpec, j_max: int) -> RotorLevels:
     # the blocks of every J below j_bad
     solve = (size >= 2) & (js < j_bad)
     dsterf = _dsterf()
-    dense = solve if dsterf is None else solve & ((0 < anrm) & (anrm < _RMIN) | (anrm > _RMAX))
-    for b in np.flatnonzero(dense):
-        first, n = at[b], size[b]
-        band[first : first + n] = _eigvalsh_band(band[first : first + n],
-                                                 band[first + n : first + 2 * n - 1])
-    if dsterf is not None:
-        direct = solve & ~dense
-        _sterf_split(dsterf, size[direct], band.ctypes.data + 8 * at[direct])
+    if dsterf is None:
+        for b in np.flatnonzero(solve):
+            first, n = at[b], size[b]
+            band[first : first + n] = np.linalg.eigvalsh(
+                _dense(band[first : first + n], band[first + n : first + 2 * n - 1]))
+    else:
+        # dsyevd's own steps: a block outside its scaling range is scaled by
+        # sigma before dsterf, and its eigenvalues by 1 / sigma after
+        low = solve & (0 < anrm) & (anrm < _RMIN)
+        scaled = low | solve & (anrm > _RMAX)
+        sigma = np.where(low, _RMIN, _RMAX)[scaled] / anrm[scaled]
+        first, n, w = at[scaled], size[scaled], width[scaled]
+        band[np.repeat(first, w) + _ramps(w)] *= np.repeat(sigma, w)
+        _sterf_split(dsterf, size[solve], band.ctypes.data + 8 * at[solve])
+        with np.errstate(over="ignore"):  # checked just below
+            band[np.repeat(first, n) + _ramps(n)] *= np.repeat(1.0 / sigma, n)
     energy = band[diagonal[: np.searchsorted(j, j_bad)]]
     finite = np.isfinite(energy)
     if not finite.all():

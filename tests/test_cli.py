@@ -206,6 +206,19 @@ cart 2 x
         with pytest.raises(ParseError):
             parse_input(path)
 
+    @pytest.mark.parametrize("line,message", [
+        ("stretch 1 2 3", "stretch takes 2 atom indices, got 3"),
+        ("stretch 1", "stretch takes 2 atom indices, got 1"),
+        ("bend 1 2", "bend takes 3 atom indices, got 2"),
+        ("Torsion 1 2 1 2 1", "torsion takes 4 atom indices, got 5"),
+        ("cart 1", "cart takes an atom index and an axis, got 1"),
+        ("cart 1 x y", "cart takes an atom index and an axis, got 3"),
+    ])
+    def test_known_coordinate_with_wrong_argument_count(self, tmp_path, capsys, line, message):
+        path = write_input(tmp_path, MINIMAL.replace("stretch 1 2", line))
+        assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: line 7: {message}\n"
+
     def test_missing_section(self, tmp_path):
         path = write_input(tmp_path, "[atoms]\nA 1.0 0.0 0.0 0.0\n")
         with pytest.raises(ValidationError):
@@ -251,6 +264,29 @@ class TestRun:
         energies = sorted(float(l.split()[3]) for l in j1)
         np.testing.assert_allclose(energies, [3.0, 4.0, 5.0], atol=1e-6)
         assert not (tmp_path / "modes.xyz").exists()
+
+    # two 1.0 amu atoms 1.1 Angstrom apart: B = 27.863850 cm^-1 from the inertia
+    DIATOMIC = ("[atoms]\nA 1.0 0.0 0.0 0.0\nB 1.0 0.0 0.0 1.1\n"
+                "[internal_coordinates]\nstretch 1 2\n[force_constants]\n5.0\n")
+
+    @pytest.mark.parametrize("rotor,energies", [
+        ("", ["0.000000", "55.727700", "167.183099"]),
+        ("[rotor]\na = 0\nb = 2\nc = 2\n", ["0.000000", "4.000000", "12.000000"]),
+    ], ids=["inertia", "rotor-section"])
+    def test_linear_rotor_has_one_level_per_j(self, tmp_path, rotor, energies):
+        path = write_input(tmp_path, self.DIATOMIC + rotor)
+        argv = ["analyze", str(path), "--out", str(tmp_path), "--tasks", "rotor", "--jmax", "2"]
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "levels.txt").read_text().splitlines()
+        assert "(linear)" in lines[0]
+        assert [line.split() for line in lines[2:]] == [
+            [str(j), "E+", "0", e, str(2 * j + 1)] for j, e in enumerate(energies)]
+        section = json.loads((tmp_path / "report.json").read_text())["rotor"]
+        b = section["constants"]["b"]
+        assert [(lv["j"], lv["parity"], lv["index"], lv["degeneracy"]) for lv in section["levels"]] == [
+            (0, "E+", 0, 1), (1, "E+", 0, 3), (2, "E+", 0, 5)]
+        assert [lv["energy"] for lv in section["levels"]] == pytest.approx([0.0, 2 * b, 6 * b],
+                                                                          rel=1e-12)
 
     def test_dynamics_trajectory(self, tmp_path):
         job = JobSpec(
@@ -848,9 +884,11 @@ def formatted_per_cell(values, convs, seps):
             for row in values.tolist()]
 
 
-def table_rows(values, convs, seps):
-    """The rows of cli._format_table, decoded."""
-    return [row.decode() for row in cli._format_table(values, convs, seps)]
+def assert_table_matches_per_cell(values, convs, seps):
+    """cli._format_blocks' text, joined and decoded, against the joined
+    per-cell rows."""
+    text = b"".join(cli._format_blocks(values, convs, seps)).decode()
+    assert text == "".join(formatted_per_cell(values, convs, seps))
 
 
 CONVERSIONS = ("%.12e", "%.10f", "%14.6f")
@@ -888,9 +926,7 @@ class TestExactFormatter:
     @pytest.mark.parametrize("conv", CONVERSIONS)
     def test_edges_match_percent(self, conv):
         values = np.array([self.TIES[conv] + self.NEAR_TIES + self.EDGES]).T
-        assert table_rows(values, [conv], ["\n"]) == formatted_per_cell(
-            values, [conv], ["\n"]
-        )
+        assert_table_matches_per_cell(values, [conv], ["\n"])
 
     @pytest.mark.parametrize("conv", CONVERSIONS)
     def test_ties_take_the_percent_fallback(self, conv):
@@ -905,9 +941,7 @@ class TestExactFormatter:
     @pytest.mark.parametrize("conv", INT_CONVERSIONS)
     def test_integer_columns_match_percent(self, conv):
         values = np.array([self.INTEGERS]).T
-        assert table_rows(values, [conv], [";"]) == formatted_per_cell(
-            values, [conv], [";"]
-        )
+        assert_table_matches_per_cell(values, [conv], [";"])
         _, exact = cli._cell_words(values.reshape(-1), conv)
         assert exact.tolist() == [0 <= v < 10_000 and v == int(v) for v in self.INTEGERS]
 
@@ -931,20 +965,14 @@ class TestExactFormatter:
         values[5, [0, 5, 6]] = 10**15
         values[7, 3] = -math.inf
         seps = [" ", "\u00d6", "", ",\n  \"x\": ", "%s", "\x00", "\n", "|"]
-        assert table_rows(values, convs, seps) == formatted_per_cell(
-            values, convs, seps
-        )
-        text = b"".join(cli._format_blocks(values, convs, seps)).decode()
-        assert text == "".join(formatted_per_cell(values, convs, seps))
+        assert_table_matches_per_cell(values, convs, seps)
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(), min_size=1, max_size=12), st.sampled_from(CONVERSIONS))
     def test_matches_percent_on_any_double(self, row, conv):
         values = np.array([row])
         seps = [",", "\u00d6\x00"] * 6
-        assert table_rows(values, [conv] * len(row), seps[: len(row)]) == (
-            formatted_per_cell(values, [conv] * len(row), seps)
-        )
+        assert_table_matches_per_cell(values, [conv] * len(row), seps[: len(row)])
 
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.integers(-10**16, 10**16), st.sampled_from(INT_CONVERSIONS)),
@@ -953,9 +981,7 @@ class TestExactFormatter:
         values = np.array([[float(v) for v, _ in cells]])
         convs = [conv for _, conv in cells]
         seps = [" "] * len(cells)
-        assert table_rows(values, convs, seps) == formatted_per_cell(
-            values, convs, seps
-        )
+        assert_table_matches_per_cell(values, convs, seps)
 
 
 def json_per_element(seq, indent):
@@ -1019,8 +1045,9 @@ class TestJsonEmitter:
         rng = np.random.default_rng(sum(shape))
         arr = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
         tables = []
-        format_table = cli._format_table
-        monkeypatch.setattr(cli, "_format_table", lambda *a: tables.append(a) or format_table(*a))
+        format_blocks = cli._format_blocks
+        monkeypatch.setattr(cli, "_format_blocks",
+                            lambda *a, **k: tables.append(a) or format_blocks(*a, **k))
         assert cli.emit_json(arr, indent) == emit_json_per_element(arr, indent)
         assert len(tables) == (arr.size >= 32)  # the table path exactly from the floor on
         assert cli.emit_json(arr.tolist(), indent) == emit_json_per_element(arr.tolist(), indent)

@@ -530,6 +530,14 @@ class TestAsymmetricLevels:
             eplus, [(p + r - disc) / 2, (p + r + disc) / 2], atol=1e-12
         )
 
+    @pytest.mark.parametrize("abc", [(0.0, 2.0, 2.0), (math.inf, 1.5, 1.5)])
+    def test_linear_rotor_has_one_level_per_j(self, abc):
+        spec = classify(*abc)
+        levels = asymmetric_levels(spec, 12)
+        assert levels.j.tolist() == list(range(13))
+        assert levels.code.tolist() == levels.index.tolist() == [0] * 13
+        assert levels.energy.tolist() == [symmetric_top_energy(spec, j, 0) for j in range(13)]
+
     def test_trace_preserved(self):
         spec = classify(4.4, 2.3, 1.1)
         levels = asymmetric_levels(spec, 6)
@@ -609,6 +617,7 @@ def levels_by_j(levels, jmax):
 positive = st.floats(0.05, 20.0)
 ratio = st.floats(1.05, 30.0)
 closeness = st.floats(0.0, 1e-2)
+EPS = np.finfo(float).eps
 
 
 class TestRotorProperties:
@@ -620,6 +629,44 @@ class TestRotorProperties:
         for j, energies in enumerate(levels_by_j(asymmetric_levels(spec, jmax), jmax)):
             want = (2 * j + 1) * j * (j + 1) * total_abc / 3
             assert abs(math.fsum(energies) - want) <= 1e-13 * want
+
+    # H(A, B, C) = (B+C)/2 J^2 + [A - (B+C)/2] Jz^2 + (B-C)/4 (J+^2 + J-^2) is
+    # linear in the constants, and J^2 = J(J+1) on a J manifold, so
+    # H(sA + t, sB + t, sC + t) = s H(A, B, C) + t J(J+1).  Relabelling the
+    # axes a <-> c turns H(t - C, t - B, t - A) into t J(J+1) - H(A, B, C), so
+    # for t > A its levels are t J(J+1) minus the levels, as a sorted set.
+    # The constants are drawn at 2^(+-500) too, where every block is scaled
+    # before dsterf; the tolerances hold 3x the largest error measured over
+    # 300 draws with J <= 60, in units of eps times the level scale.
+
+    @settings(max_examples=40)
+    @given(st.tuples(positive, positive, positive), st.sampled_from((1.0, 2.0**-500, 2.0**500)),
+           st.floats(0.1, 10.0), st.floats(-0.9, 2.0), st.integers(0, 20))
+    def test_affine_law(self, abc, scale, s, shift, jmax):
+        spec = classify(*(v * scale for v in abc))
+        a, b, c = spec.a_const, spec.b_const, spec.c_const
+        t = shift * s * (a if shift > 0 else c)  # keeps s C + t > 0
+        levels = asymmetric_levels(spec, jmax)
+        moved = asymmetric_levels(classify(s * a + t, s * b + t, s * c + t), jmax)
+        jj = levels.j * (levels.j + 1.0)
+        # s > 0 keeps the order of the levels of each J
+        error = np.abs(moved.energy - (s * levels.energy + t * jj))
+        assert np.all(error <= 32 * EPS * (s * a + abs(t)) * np.maximum(jj, 1.0))
+
+    @settings(max_examples=40)
+    @given(st.tuples(positive, positive, positive), st.sampled_from((1.0, 2.0**-500, 2.0**500)),
+           st.floats(1.01, 4.0), st.integers(0, 20))
+    def test_mirror_law(self, abc, scale, over, jmax):
+        spec = classify(*(v * scale for v in abc))
+        a, b, c = spec.a_const, spec.b_const, spec.c_const
+        t = over * a
+        levels = asymmetric_levels(spec, jmax)
+        mirrored = asymmetric_levels(classify(t - c, t - b, t - a), jmax)
+        for j in range(jmax + 1):
+            block = slice(j * j, (j + 1) ** 2)
+            want = np.sort(t * j * (j + 1) - levels.energy[block])
+            error = np.abs(mirrored.energy[block] - want)
+            assert np.all(error <= 32 * EPS * t * max(j * (j + 1), 1)), j
 
     # King, Hainer & Cross, J. Chem. Phys. 11, 27 (1943): the asymmetric levels
     # go to the prolate closed form as B -> C and to the oblate one as A -> B.
@@ -659,9 +706,9 @@ class TestRotorProperties:
 
 
 class TestBandEigenvalues:
-    """_eigvalsh_band against dense eigvalsh, and its fallback."""
+    """asymmetric_levels' blocks against dense eigvalsh, and the fallback
+    without dsterf."""
 
-    @pytest.mark.skipif(rotor._dsterf() is None, reason="numpy's build has no dsterf")
     @settings(max_examples=25)
     @given(st.tuples(positive, positive, positive),
            st.sampled_from((1e-300, 1e-150, 1.0, 1e150, 1e300))
@@ -670,11 +717,11 @@ class TestBandEigenvalues:
         # beyond 2^(+-485) dsyevd scales the block before dsterf and scales
         # the eigenvalues back, which moves their last bits
         spec = classify(*(v * scale for v in abc))
+        levels = asymmetric_levels(spec, 60)
         for j in range(61):
-            d, o = rotor._band(spec, j)
-            bands = rotor._parity_blocks(d, o, j)
-            for (cls, dense), (_, _, diag, off) in zip(dense_band_blocks(spec, j), bands):
-                got = rotor._eigvalsh_band(diag, off)
+            for code, (cls, dense) in enumerate(dense_band_blocks(spec, j)):
+                # the levels of a J ascend, as a block's eigenvalues do
+                got = levels.energy[(levels.j == j) & (levels.code == code)]
                 assert np.array_equal(got, np.linalg.eigvalsh(dense)), (j, cls)
 
     @pytest.mark.parametrize("failure", ["no-directory", "no-file", "not-a-library", "no-symbol"])
@@ -682,17 +729,20 @@ class TestBandEigenvalues:
         libs, symbol = failed_dsterf_lookup(failure, tmp_path)
         lookup = rotor._dsterf
         assert lookup(libs, symbol) is None
-        spec = classify(1e150 * 27.88, 1e150 * 14.51, 1e150 * 9.28)
-        want = asymmetric_levels(spec, 30)
-        calls = []
+        # at 1e150 every block is scaled before dsterf; at 2^470 those of
+        # J >= 35 are and the others are not
+        specs = [classify(scale * 27.88, scale * 14.51, scale * 9.28) for scale in (1e150, 2.0**470)]
+        wants = [asymmetric_levels(spec, 40) for spec in specs]
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        sizes = [n for j in range(41) for n in (j // 2 + 1, j // 2, (j + 1) // 2, (j + 1) // 2)]
         monkeypatch.setattr(rotor, "_dsterf", lambda: lookup(libs, symbol))
-        got = asymmetric_levels(spec, 30)
-        sizes = [n for j in range(31) for n in (j // 2 + 1, j // 2, (j + 1) // 2, (j + 1) // 2)]
-        assert sorted(len(h) for h in calls) == sorted(n for n in sizes if n > 1)
-        for name in ("j", "code", "index", "energy"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for spec, want in zip(specs, wants):
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+            got = asymmetric_levels(spec, 40)
+            assert sorted(len(h) for h in calls) == sorted(n for n in sizes if n > 1)
+            for name in ("j", "code", "index", "energy"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_lookup_finds_numpys_dsterf(self):
         # numpy's own wheels ship this library; other builds take the fallback
@@ -791,7 +841,10 @@ class TestValidation:
         "consts,jmax,message",
         [((1e308, 8.5e307, 1e306), 3, "rotor levels for J = 1 are not finite"),  # |1,+> = A + B
          ((1e308, 5e307, 1e307), 40, "rotor Hamiltonian for J = 2 is not finite"),
-         ((1e305, 5e304, 1e304), 200, "rotor Hamiltonian for J = 43 is not finite")],
+         ((1e305, 5e304, 1e304), 200, "rotor Hamiltonian for J = 43 is not finite"),
+         # a scaled E+ block of J = 2 whose level overflows as it is scaled back
+         ((3e307, 3e307, 1e300), 2, "rotor levels for J = 2 are not finite"),
+         ((0.0, 1e308, 1e308), 4, "rotor levels for J = 1 are not finite")],  # linear: 2B
     )
     def test_non_finite_names_the_lowest_j(self, consts, jmax, message):
         with pytest.raises(NonFiniteLevels, match=message):
