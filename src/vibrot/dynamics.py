@@ -5,8 +5,8 @@ eigenvectors L; every coordinate then evolves as a superposition of cosines
 and sines at the normal frequencies.  The normal coordinates of all sampled
 times form one (samples x modes) table Q, with Q[t, k] = a_k cos(w_k t) +
 (bdot_k / w_k) sin(w_k t), and the trajectory is the single matrix product
-Q L^T.  Zero-frequency modes (lambda <= LAMBDA_CLAMP) propagate as uniform
-drift a_k + bdot_k t, the omega -> 0 limit of the sine term.
+Q L^T.  Zero-frequency modes (those `normalmodes.zero_modes` marks) propagate
+as uniform drift a_k + bdot_k t, the omega -> 0 limit of the sine term.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalmodes import LAMBDA_CLAMP, NormalModeResult
+from .normalmodes import NormalModeResult, zero_modes
 from .quadform import DimensionMismatch, SymMatrix
 
 ENERGY_DRIFT_LIMIT = 1e-3
@@ -66,6 +66,7 @@ class InitialConditions:
 
 
 def _check_system(modes: NormalModeResult, metric: SymMatrix, ic: InitialConditions):
+    """Raise unless the system fits and is stable; returns the zero-mode mask."""
     n = metric.dim
     if modes.L.shape != (n, n):
         raise DimensionMismatch(
@@ -73,10 +74,12 @@ def _check_system(modes: NormalModeResult, metric: SymMatrix, ic: InitialConditi
         )
     if ic.dim != n:
         raise DimensionMismatch(f"initial conditions have dim {ic.dim}, expected {n}")
-    if np.any(modes.lambdas < -LAMBDA_CLAMP):
+    zero = zero_modes(modes.lambdas)
+    if np.any(modes.lambdas[~zero] < 0):
         raise NegativeLambda(
             f"lambda = {modes.lambdas.min():.3e} < 0; use the RK4 oracle instead"
         )
+    return zero
 
 
 def trajectory_closed_form(
@@ -95,12 +98,11 @@ def trajectory_closed_form(
     with_velocities the analytically differentiated trajectory is returned
     as a second array.
     """
-    _check_system(modes, metric, ic)
+    drift = _check_system(modes, metric, ic)
     times = np.asarray(times, dtype=float).reshape(-1)
     xi = modes.L
     a = xi.T @ metric.entries @ ic.kappa
     bdot = xi.T @ metric.entries @ ic.beta_vel
-    drift = modes.lambdas <= LAMBDA_CLAMP
     w = np.sqrt(np.where(drift, 1.0, modes.lambdas))  # drift columns are overwritten
     wt = np.multiply.outer(times, w)
     cos, sin = np.cos(wt), np.sin(wt, out=wt)
@@ -123,15 +125,13 @@ def normal_coordinate_coefficients(
     A_k projects the initial displacement on mode k in the metric g;
     B_k does the same for the velocity, divided by the frequency.
     """
-    _check_system(modes, g, ic)
-    a = modes.L.T @ g.entries @ ic.kappa
-    bdot = modes.L.T @ g.entries @ ic.beta_vel
-    if np.any(modes.lambdas <= LAMBDA_CLAMP):
+    if np.any(_check_system(modes, g, ic)):
         raise ZeroFrequencyMode(
             "B_k is undefined for a zero-frequency mode; propagate it as drift"
         )
-    b = bdot / np.sqrt(modes.lambdas)
-    return a, b
+    a = modes.L.T @ g.entries @ ic.kappa
+    bdot = modes.L.T @ g.entries @ ic.beta_vel
+    return a, bdot / np.sqrt(modes.lambdas)
 
 
 def rk4_oracle(

@@ -28,7 +28,6 @@ from .quadform import DimensionMismatch, SymMatrix
 
 STRETCH_MIN_LENGTH = 1e-6   # Angstrom
 BEND_MIN_SINE = 1e-6        # collinearity guard
-RANK_RTOL = 1e-10
 ZERO_INERTIA_RTOL = 1e-12
 
 
@@ -195,7 +194,7 @@ class InternalCoordinateSet:
 
 @dataclass(frozen=True, eq=False)
 class BMatrix:
-    """Linearized internal (plus optional frame) coordinates, rows x ncart."""
+    """Linearized coordinates, rows x ncart; normalmodes.solve decides the rank."""
 
     rows: np.ndarray
     kinds: tuple  # "internal" | "translation" | "rotation", one per row
@@ -209,11 +208,8 @@ class BMatrix:
             raise DimensionMismatch("one kind per row required")
         if rows.shape[0] > rows.shape[1]:
             raise RankDeficient(
-                f"{rows.shape[0]} rows cannot be independent in {rows.shape[1]} dims"
+                f"{rows.shape[0]} coordinates cannot be independent in {rows.shape[1]} dims"
             )
-        sv = np.linalg.svd(rows, compute_uv=False)
-        if sv[-1] <= RANK_RTOL * sv[0]:
-            raise RankDeficient("B matrix rows are linearly dependent")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "kinds", kinds)
@@ -324,10 +320,6 @@ def build_b_matrix(mol: Molecule, ics: InternalCoordinateSet) -> BMatrix:
     """
     pos = mol.positions
     n, d = mol.natoms, mol.dimensionality
-    if len(ics) > mol.ncart:
-        raise DimensionMismatch(
-            f"{len(ics)} internal coordinates exceed {mol.ncart} Cartesian dims"
-        )
     rows = np.zeros((len(ics), mol.ncart))
     for r, coord in enumerate(ics.coords):
         if isinstance(coord, BondStretch):
@@ -367,8 +359,8 @@ def build_b_matrix(mol: Molecule, ics: InternalCoordinateSet) -> BMatrix:
 def extend_b_matrix(b: BMatrix, mol: Molecule) -> BMatrix:
     """Append translation (and, in 2D/3D, rotation) rows to an internal B.
 
-    The result is square and invertible for a well-chosen internal set; a
-    singular augmented matrix signals a bad internal coordinate choice.
+    The result is square (else RankDeficient) and invertible for a
+    well-chosen internal set; solve raises RankDeficient for a singular one.
     """
     if any(k != "internal" for k in b.kinds):
         raise MoleculeError("extend_b_matrix expects internal rows only")

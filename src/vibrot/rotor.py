@@ -150,23 +150,19 @@ class RotorLevels:
 def classify(a: float, b: float, c: float) -> RotorSpec:
     """Sort the constants descending and name the rotor type.
 
-    A single zero constant flags a linear rotor (its actual constant along
-    the axis is infinite); otherwise all constants must be positive and
-    finite.  Equalities are detected at 1e-9 relative tolerance.
+    One zero or infinite constant flags a linear rotor, (inf, B, B): its axial
+    moment is zero, so A is exactly infinite.  Otherwise all constants must be
+    positive and finite.  Equalities are detected at 1e-9 relative tolerance.
     """
     vals = sorted((float(a), float(b), float(c)), reverse=True)
     if any(v < 0 or math.isnan(v) for v in vals):
         raise NonPositiveConstant(f"invalid rotational constants {vals}")
-    zeros = sum(1 for v in vals if v == 0.0)
-    infs = sum(1 for v in vals if math.isinf(v))
-    finite = [v for v in vals if math.isfinite(v) and v > 0]
+    finite = [v for v in vals if 0 < v < math.inf]
     tol = CLASSIFY_RTOL * max(finite) if finite else 0.0
-    if zeros or infs:
-        if zeros + infs == 1:
-            # (inf, B, B) or (B, B, 0): one degenerate positive pair remains
-            hi, lo = (vals[1], vals[2]) if infs else (vals[0], vals[1])
-            if lo > 0 and abs(hi - lo) <= tol:
-                return RotorSpec(vals[0], vals[1], vals[2], "linear")
+    if len(finite) < 3:
+        # one zero or infinite constant and a degenerate positive pair
+        if len(finite) == 2 and finite[0] - finite[1] <= tol:
+            return RotorSpec(math.inf, *finite, "linear")
         raise NonPositiveConstant(
             "zero/infinite constants are only valid for a linear rotor (B = C)"
         )
@@ -190,18 +186,12 @@ def symmetric_top_energy(spec: RotorSpec, j: int, k: int) -> float:
     """
     SymTopState(j=j, k=k, m=0)
     b = spec.b_const
-    if spec.classification in ("prolate-symmetric",):
-        unique = spec.a_const
-    elif spec.classification == "oblate-symmetric":
-        unique = spec.c_const
-    elif spec.classification == "spherical":
-        unique = spec.b_const
-    elif spec.classification == "linear":
-        if k != 0:
-            raise InvalidQuantumNumbers("a linear rotor only carries k = 0")
-        unique = b
-    else:
+    unique = {"prolate-symmetric": spec.a_const, "oblate-symmetric": spec.c_const,
+              "spherical": b, "linear": b}.get(spec.classification)  # linear: A = inf
+    if unique is None:
         raise NotSymmetricTop(f"{spec.classification} rotor has no closed form")
+    if spec.classification == "linear" and k != 0:
+        raise InvalidQuantumNumbers("a linear rotor only carries k = 0")
     return b * j * (j + 1) + (unique - b) * k * k
 
 
@@ -616,10 +606,7 @@ def asymmetric_levels(spec: RotorSpec, j_max: int) -> RotorLevels:
 
 
 def rotor_spec_from_inertia(constants_abc) -> Optional[RotorSpec]:
-    """RotorSpec from (A, B, C) allowing the linear-rotor infinite A."""
-    a, b, c = constants_abc
-    if math.isinf(a) and math.isfinite(b) and math.isfinite(c):
-        return classify(0.0, b, c)
-    if any(math.isinf(v) for v in (a, b, c)):
+    """classify(A, B, C), or None when more than one constant is infinite."""
+    if sum(map(math.isinf, constants_abc)) > 1:
         return None
-    return classify(a, b, c)
+    return classify(*constants_abc)

@@ -27,10 +27,12 @@ from conftest import (
     set_usable_cpus,
 )
 from vibrot import cli
+from vibrot import dynamics as dyn
 from vibrot import molecule as mo
 from vibrot import rotor as ro
 from vibrot import watson as wa
 from vibrot.cli import JobSpec, ParseError, ValidationError, parse_input, run
+from vibrot.quadform import SymMatrix
 
 
 def write_input(tmp_path, text, name="job.inp"):
@@ -269,20 +271,22 @@ class TestRun:
     DIATOMIC = ("[atoms]\nA 1.0 0.0 0.0 0.0\nB 1.0 0.0 0.0 1.1\n"
                 "[internal_coordinates]\nstretch 1 2\n[force_constants]\n5.0\n")
 
-    @pytest.mark.parametrize("rotor,energies", [
-        ("", ["0.000000", "55.727700", "167.183099"]),
-        ("[rotor]\na = 0\nb = 2\nc = 2\n", ["0.000000", "4.000000", "12.000000"]),
+    @pytest.mark.parametrize("rotor,b,energies", [
+        ("", "27.863850", ["0.000000", "55.727700", "167.183099"]),
+        ("[rotor]\na = 0\nb = 2\nc = 2\n", "2.000000", ["0.000000", "4.000000", "12.000000"]),
     ], ids=["inertia", "rotor-section"])
-    def test_linear_rotor_has_one_level_per_j(self, tmp_path, rotor, energies):
+    def test_linear_rotor_has_one_level_per_j(self, tmp_path, rotor, b, energies):
         path = write_input(tmp_path, self.DIATOMIC + rotor)
         argv = ["analyze", str(path), "--out", str(tmp_path), "--tasks", "rotor", "--jmax", "2"]
         assert cli.main(argv) == 0
         lines = (tmp_path / "levels.txt").read_text().splitlines()
-        assert "(linear)" in lines[0]
+        # both inputs give one shape, (inf, B, B): A is exactly infinite
+        assert lines[0] == f"# rotor: A=inf B={b} C={b} (linear)"
         assert [line.split() for line in lines[2:]] == [
             [str(j), "E+", "0", e, str(2 * j + 1)] for j, e in enumerate(energies)]
         section = json.loads((tmp_path / "report.json").read_text())["rotor"]
         b = section["constants"]["b"]
+        assert section["constants"] == {"a": "inf", "b": b, "c": b}
         assert [(lv["j"], lv["parity"], lv["index"], lv["degeneracy"]) for lv in section["levels"]] == [
             (0, "E+", 0, 1), (1, "E+", 0, 3), (2, "E+", 0, 5)]
         assert [lv["energy"] for lv in section["levels"]] == pytest.approx([0.0, 2 * b, 6 * b],
@@ -303,6 +307,48 @@ class TestRun:
         # symmetric initial displacement stays on the cos(t) mode
         assert x1 == pytest.approx(0.1 * math.cos(10.0), abs=1e-9)
         assert x2 == pytest.approx(x1, abs=1e-12)
+
+    # Zero modes are decided relative to max |lambda| (nm.zero_modes), so
+    # neither a stiff spring nor a soft one moves the decision.
+    @pytest.mark.parametrize("k", [1e6, 1e7, 1e8, 1e9])
+    @pytest.mark.parametrize("m2", [1.7, 3.1, 4.4, 5.9, 7.3])
+    def test_stiff_free_pair_has_one_zero_mode(self, tmp_path, m2, k):
+        # two masses on one spring with no walls: the translation's lambda
+        # is roundoff of order eps k, of either sign
+        path = write_input(tmp_path, (
+            "[molecule]\ndimensionality = 1\n[atoms]\nm1 1.3 0.0 0.0 0.0\n"
+            f"m2 {m2} 1.0 0.0 0.0\n[internal_coordinates]\ncart 1 x\ncart 2 x\n"
+            f"[force_constants]\n{k!r}\n{-k!r} {k!r}\n"
+            "[dynamics]\nkappa = 0.1 0.0\nbeta = 0.0 0.0\n"))
+        argv = ["analyze", str(path), "--out", str(tmp_path), "--tasks", "modes,dynamics",
+                "--units", "natural"]
+        assert cli.main(argv) == 0
+        freqs = json.loads((tmp_path / "report.json").read_text())["modes"]["frequencies"]
+        assert freqs[0] == 0.0
+        assert freqs[1] == pytest.approx(math.sqrt(k * (1 / 1.3 + 1 / m2)), rel=1e-12)
+
+    def test_soft_pair_trajectory_matches_rk4(self, tmp_path):
+        # twomass with F x 1e-11: lambda = 1e-11 and 3e-11 are real modes
+        text = (FIXTURES / "twomass.inp").read_text()
+        for old, new in (("2.0\n-1.0 2.0", "2e-11\n-1e-11 2e-11"),
+                         ("t_end = 10.0", "t_end = 2e6"), ("samples = 101", "samples = 11")):
+            assert old in text
+            text = text.replace(old, new)
+        path = write_input(tmp_path, text)
+        argv = ["analyze", str(path), "--out", str(tmp_path), "--tasks", "dynamics",
+                "--units", "natural"]
+        assert cli.main(argv) == 0
+        rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        f = SymMatrix([[2e-11, -1e-11], [-1e-11, 2e-11]])
+        ic = dyn.InitialConditions(kappa=[0.1, 0.1], beta_vel=[0.0, 0.0])
+        expected = [ic.kappa]
+        for _ in range(10):  # RK4 from sample to sample, 200 steps each
+            x, v = dyn.rk4_oracle(SymMatrix.identity(2), f, ic, 2e5, 1e3)
+            ic = dyn.InitialConditions(kappa=x, beta_vel=v)
+            expected.append(x)
+        np.testing.assert_allclose(rows[:, 0], np.linspace(0.0, 2e6, 11))
+        np.testing.assert_allclose(rows[:, 1:], expected, rtol=0, atol=1e-9)
+        assert rows[5, 1] < -0.0999  # half a period: x1 = 0.1 cos(sqrt(1e-11) 1e6)
 
     def test_watson_diagnostics_on_water(self, tmp_path):
         job = JobSpec(
@@ -449,8 +495,11 @@ beta = 0.0 0.0
          (("O 15.999 0.0 ", "O 15.999 nan "), 2, "line 3: not a finite number"),
          # J = 1 levels (at most A + B = 1.5e308) are finite; J = 2 overflows
          (("", "\n[rotor]\na = 1e308\nb = 5e307\nc = 1e307\n"), 3,
-          "rotor Hamiltonian for J = 2 is not finite")],
-        ids=["nan-force-constant", "nan-coordinate", "overflowing-rotor"],
+          "rotor Hamiltonian for J = 2 is not finite"),
+         # B takes the dependent rows; the solve's rank test refuses them
+         (("stretch 1 3", "stretch 1 2"), 3,
+          "numerical failure: B matrix rows are linearly dependent")],
+        ids=["nan-force-constant", "nan-coordinate", "overflowing-rotor", "repeated-stretch"],
     )
     def test_non_finite_input_or_levels_exit_with_no_outputs(
         self, tmp_path, capsys, edit, code, message

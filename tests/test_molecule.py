@@ -6,6 +6,7 @@ import pytest
 from conftest import water_molecule
 from vibrot import constants
 from vibrot import molecule as mo
+from vibrot import normalmodes as nm
 from vibrot.molecule import (
     AngleBend,
     Atom,
@@ -21,6 +22,7 @@ from vibrot.molecule import (
     RankDeficient,
     Torsion,
 )
+from vibrot.quadform import SymMatrix
 
 # -- independent coordinate-value functions (finite-difference oracle) ---------
 
@@ -174,10 +176,14 @@ class TestBuildBMatrix:
         mol = Molecule.from_lists(
             ["A", "B"], [1.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         )
-        with pytest.raises(RankDeficient):
-            mo.build_b_matrix(
-                mol, InternalCoordinateSet((BondStretch(0, 1), BondStretch(1, 0)))
-            )
+        # B takes the rows; the solve's one rank test rejects them
+        b = mo.build_b_matrix(
+            mol, InternalCoordinateSet((BondStretch(0, 1), BondStretch(1, 0)))
+        )
+        masses = MassMatrix.from_molecule(mol)
+        ff = nm.ForceField(f=SymMatrix.identity(2))
+        with pytest.raises(RankDeficient, match="B matrix rows are linearly dependent"):
+            nm.solve(mo.build_g_matrix(b, masses), ff, b=b, masses=masses)
 
     def test_linear_combination_row(self):
         mol = twomass_1d()
@@ -232,6 +238,9 @@ class TestExtendBMatrix:
         b = mo.build_b_matrix(mol, InternalCoordinateSet((BondStretch(0, 1),)))
         with pytest.raises(RankDeficient):
             mo.extend_b_matrix(b, mol)
+        # more coordinates than Cartesian dims fail B's one shape check
+        with pytest.raises(RankDeficient, match="10 coordinates cannot be independent in 9"):
+            mo.build_b_matrix(mol, InternalCoordinateSet((BondStretch(0, 1),) * 10))
 
     def test_planar_2d_molecule_keeps_one_rotation(self):
         # 2N - 3 internal coordinates + 2 translations + in-plane rotation

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -225,6 +225,35 @@ class TestSolveProperties:
         scale = np.abs(res.L).max()
         assert np.abs(b.rows @ res.cart_displacements - res.L).max() < 1e-12 * scale
 
+    # Scaling F by s scales every lambda by s and every omega by sqrt(s);
+    # the zero modes, decided relative to max |lambda|, stay the same.
+    @settings(max_examples=100)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(float, n, elements=st.floats(0.1, 10.0)),
+        st.integers(0, n),
+        st.floats(-12.0, 12.0),
+    )))
+    @example((np.eye(2), np.eye(2), np.array([1.0, 3.0]), 1, 12.0))
+    @example((np.eye(2), np.eye(2), np.array([1.0, 3.0]), 1, -12.0))
+    def test_scaled_force_field_scales_lambdas_and_keeps_zero_modes(self, case):
+        c, a, spectrum, zeros, log_s = case
+        n, s, eps = len(c), 10.0**log_s, np.finfo(float).eps
+        g = SymMatrix(c @ c.T + 0.5 * np.eye(n))  # eigenvalues in [0.5, n + 0.5]
+        q, _ = np.linalg.qr(a)
+        f = (q * np.where(np.arange(n) < zeros, 0.0, spectrum)) @ q.T
+        res, scaled = (nm.solve(g, nm.ForceField(f=SymMatrix(x * f)), unit_mode="natural")
+                       for x in (1.0, s))
+        bound = 8 * n * eps * s * np.abs(res.lambdas).max()  # both solves' roundoff
+        assert np.all(np.abs(scaled.lambdas - s * res.lambdas) <= bound)
+        zero = nm.zero_modes(res.lambdas)
+        assert zero.sum() == zeros
+        assert np.array_equal(nm.zero_modes(scaled.lambdas), zero)
+        assert np.all(res.frequencies_cm[zero] == 0) and np.all(scaled.frequencies_cm[zero] == 0)
+        ratio = scaled.frequencies_cm[~zero] / (math.sqrt(s) * res.frequencies_cm[~zero])
+        assert np.all(np.abs(ratio - 1) <= bound / (s * res.lambdas[~zero]))
+
 
 class TestTellerRedlich:
     # Teller-Redlich product rule (Wilson, Decius & Cross, Molecular
@@ -259,6 +288,8 @@ class TestFrequencies:
     def test_zero_and_unit(self):
         out = nm.frequencies_cm([0.0, 1.0], unit_mode="natural")
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
+        # the zero-mode scale is max |lambda| over the finite lambdas
+        assert nm.frequencies_cm([1.0, np.inf], unit_mode="natural").tolist() == [1.0, np.inf]
 
     def test_conversion_constant_dimensional_analysis(self):
         # independent route: 1 aJ/(A^2 amu) in SI, omega -> wavenumber
@@ -271,7 +302,8 @@ class TestFrequencies:
         assert got == pytest.approx(1302.79, rel=1e-4)
 
     def test_tiny_negative_clamped(self):
-        out = nm.frequencies_cm([-1e-12], unit_mode="natural")
+        # roundoff next to a mode of 1; a lone -1e-12 is its own scale, a saddle
+        out = nm.frequencies_cm([-1e-17, 1.0], unit_mode="natural")
         assert out[0] == 0.0
 
     def test_imaginary_reported_negative(self):

@@ -119,7 +119,10 @@ class TestClassify:
         ],
     )
     def test_kinds(self, abc, kind):
-        assert classify(*abc).classification == kind
+        spec = classify(*abc)
+        assert spec.classification == kind
+        if kind == "linear":  # one shape: the constant of the zero moment is infinite
+            assert (spec.a_const, spec.b_const, spec.c_const) == (math.inf, abc[1], abc[2])
 
     def test_sorted_descending(self):
         spec = classify(1.0, 3.0, 2.0)

@@ -64,3 +64,5 @@ def test_traced_job_times_the_writers_and_the_solve(tmp_path):
         assert name in names
     writes = [end - start for name, start, end, _, _ in tracer.spans if name == "cli.write"]
     assert len(writes) == 4 and min(writes) > 0
+    # one SVD per job: solve's, of B M^-1/2, which also decides B's rank
+    assert tracer.counts[0]["linalg.svd"] == 1
