@@ -22,17 +22,24 @@ levels, so N <= 999; --frames N with at most XYZ_VALUES_MAX modes.xyz values
 when the modes task runs.  Outputs: report.json (always), modes.xyz,
 levels.txt, trajectory.csv as requested by the task list.  report.json has a
 fixed field order and %.12e float formatting.  The bytes of every output are
-deterministic for one numpy/BLAS build and BLAS thread count; the rotor-only
-outputs do not depend on the thread count.
+deterministic for one numpy build: run() sets numpy's bundled OpenBLAS to one
+thread for the job, so they do not depend on the BLAS thread count.  With
+another BLAS nothing is pinned, and only the rotor-only outputs are free of
+the thread count.  The count is process-wide: run() must not be called from
+several threads of one process at once.
 The tasks are a table (_TASKS) in the paper's order: modes, dynamics,
 watson-diagnostics, rotor.  run() checks every selected task, then runs
 them in table order, whatever the order of --tasks, and writes report.json
 last.  Every output is streamed to a binary file in UTF-8 chunks.  Its
 tables come from an exact vectorized formatter (_format_blocks) that falls
 back to % for every value it cannot prove; the bytes are those of %.
-Exit codes: 0 success, 2 validation or usage error, 3 numerical failure;
-on failure every output file of the run is removed, also one that failed
-midway.  A task the input cannot run (dynamics without [dynamics],
+On two or more CPUs, a modes.xyz of at least _FORK_VALUES values is written
+by a forked child while the job goes on (Python 3.12+ may warn about forking
+a process with threads); run() reaps it before it returns.
+Exit codes: 0 success, 2 validation or usage error, 3 numerical failure or a
+failed writer child; on failure, also an exception run() does not catch, the
+child is killed and reaped and every output file of the run is removed, also
+one that failed midway.  A task the input cannot run (dynamics without [dynamics],
 watson-diagnostics on a linear or non-3-D molecule, rotor without [rotor]
 and with degenerate inertia) exits 2 before anything is solved or written.
 numpy's floating-point warnings are off during a job: a non-finite result
@@ -46,6 +53,7 @@ import functools
 import itertools
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +61,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _host
 from . import dynamics as dyn
 from . import molecule as mo
 from . import normalmodes as nm
@@ -783,24 +792,78 @@ def _level_list(levels: ro.RotorLevels, indent: int):
 # -- outputs -------------------------------------------------------------------
 
 
+# Fewest values (frames x 3N x modes) of a modes.xyz stream that a forked
+# child writes while the job goes on, where the process may use two CPUs.
+# Measured in-process on a 2-core host with one BLAS thread, median job time
+# written in place -> by the child, on chains with 3N - 6 modes and 20 frames:
+# modes alone 8.8 -> 14.9 ms at 12 atoms (21 600 values, the largest stream
+# of the benchmark's small-batch jobs), 30.5 -> 35.9 ms at 30 atoms (151 200)
+# and 49.4 -> 44.6 ms at 36 atoms (220 320); modes, watson and rotor 21.8 ->
+# 21.7 ms at 20 atoms (64 800) and 40.4 -> 32.3 ms at 30 atoms.  A fork, exit
+# and wait cost 2.5-5 ms, and each page the parent then writes first takes a
+# copy fault.
+_FORK_VALUES = 200_000
+
+
+class _WriterFailed(RuntimeError):
+    pass
+
+
 @dataclass
 class _Outputs:
     directory: Path
     written: list = field(default_factory=list)
+    child: Optional[tuple] = None  # (pid, file name) of the writer child
 
-    def write(self, name: str, chunks) -> Path:
+    def write(self, name: str, chunks, values: int = 0) -> Path:
         """Stream the UTF-8 chunks into directory/name.
 
-        The path is recorded before the file is opened, so cleanup() also
-        removes a file whose chunks raised midway.
+        A stream of at least _FORK_VALUES values is written by a forked
+        child, where os.fork exists and the process may use two CPUs, while
+        the job goes on; wait() reaps it.  The path is recorded before the
+        file is opened, so cleanup() also removes a file whose chunks raised
+        midway.
         """
         path = self.directory / name
         self.written.append(path)
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
+        if values >= _FORK_VALUES and hasattr(os, "fork") and _host.usable_cpus() >= 2:
+            pid = os.fork()
+            if pid:
+                self.child = (pid, name)
+                return path
+            code = 1
+            try:  # the child never returns into its caller's stack or flushes its stdio
+                self._stream(path, chunks)
+                code = 0
+            finally:
+                os._exit(code)
+        self._stream(path, chunks)
         return path
 
+    @staticmethod
+    def _stream(path: Path, chunks):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+
+    def wait(self):
+        """Reap the writer child, if any; _WriterFailed unless it exited 0."""
+        if self.child:
+            pid, name = self.child
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            self.child = None
+            if status:
+                how = f"exited with status {status}" if status > 0 else (
+                    f"was killed by signal {-status}")
+                raise _WriterFailed(f"the process writing {name} {how}")
+
     def cleanup(self):
+        """Kill and reap the writer child, if any, then remove every output."""
+        if self.child:
+            import signal  # only a failed job with a writer child needs it
+
+            os.kill(self.child[0], signal.SIGKILL)
+            os.waitpid(self.child[0], 0)
+            self.child = None
         for path in self.written:
             try:
                 path.unlink()
@@ -888,7 +951,8 @@ def _modes_task(parsed: ParsedInput, modes, job: JobSpec):
     eckart = ecd and {"translational": ecd.translational, "rotational": ecd.rotational}
     section = {"lambdas": result.lambdas, "frequencies": result.frequencies_cm,
                "eckart_residuals": eckart}
-    return section, [("modes.xyz", _xyz_frames(mol, result, job))]
+    values = job.frames * 3 * mol.natoms * result.nmodes
+    return section, [("modes.xyz", _xyz_frames(mol, result, job), values)]
 
 
 def _check_dynamics(parsed: ParsedInput, job: JobSpec):
@@ -956,7 +1020,8 @@ def _rotor_task(parsed: ParsedInput, modes, job: JobSpec):
 class _Task(NamedTuple):
     """check(parsed, job) raises ValidationError if the input cannot run the
     task; run(parsed, modes, job) returns (report section, [(file name,
-    chunks)]), where modes() solves on its first call."""
+    chunks[, values])]), where modes() solves on its first call and values,
+    given for modes.xyz only, sizes the stream for _Outputs.write."""
 
     name: str  # the --tasks name
     key: str   # the report section
@@ -975,6 +1040,7 @@ TASKS = tuple(task.name for task in _TASKS)
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
+@_host.one_blas_thread()  # the same bytes at any BLAS thread count
 def run(job: JobSpec) -> int:
     """Execute a job; returns the process exit code."""
     outputs = _Outputs(directory=job.output_dir)
@@ -990,9 +1056,10 @@ def run(job: JobSpec) -> int:
                   "unit_mode": job.unit_mode}
         for task in tasks:
             report[task.key], files = task.run(parsed, modes, job)
-            for name, chunks in files:
-                outputs.write(name, chunks)
+            for file in files:
+                outputs.write(*file)
         outputs.write("report.json", itertools.chain(emit_json(report, chunks=True), [b"\n"]))
+        outputs.wait()
         return 0
     except (ParseError, ValidationError, OSError) as exc:
         outputs.cleanup()
@@ -1003,6 +1070,13 @@ def run(job: JobSpec) -> int:
         outputs.cleanup()
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except _WriterFailed as exc:
+        outputs.cleanup()
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except BaseException:
+        outputs.cleanup()
+        raise
 
 
 @functools.cache

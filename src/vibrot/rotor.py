@@ -38,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _host
 from .frames import EulerAngles
 
 CLASSIFY_RTOL = 1e-9
@@ -407,18 +408,13 @@ _SPLIT_WORK = 100_000
 @functools.cache
 def _dsterf(libs=None, symbol: str = "scipy_dsterf_64_"):
     """LAPACK's dsterf(n, d, e, info), every argument an address and n and
-    info 64-bit integers, from the OpenBLAS library in the directory libs, by
-    default the one numpy's wheel ships (numpy.libs), looked up on the first
-    rotor call.  None when the directory, the library or the symbol is
-    missing, as on other builds."""
-    import ctypes  # numpy has loaded ctypes and pathlib; importing vibrot loads neither
-    import pathlib
+    info 64-bit integers, from _host.openblas(libs), looked up on the first
+    rotor call.  None when the library or the symbol is missing, as on other
+    builds."""
+    import ctypes
 
-    try:
-        libs = pathlib.Path(libs or pathlib.Path(np.__file__).parents[1] / "numpy.libs")
-        path = next(p for p in libs.iterdir() if p.name.startswith("libscipy_openblas64_"))
-        fn = getattr(ctypes.CDLL(str(path)), symbol)
-    except (OSError, StopIteration, AttributeError, TypeError):
+    fn = getattr(_host.openblas(libs), symbol, None)
+    if fn is None:
         return None
     fn.argtypes = [ctypes.c_void_p] * 4
     fn.restype = None
@@ -441,22 +437,13 @@ def _sterf(dsterf, sizes, diags) -> None:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (os.cpu_count() where that is unknown)."""
-    import os
-
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _sterf_split(dsterf, sizes: np.ndarray, diags: np.ndarray) -> None:
     """_sterf on the blocks, split into two halves of equal sum n^2 run on
     this thread and one helper thread when the process may use two CPUs and
     the blocks carry _SPLIT_WORK; each block's values do not depend on the
     split.  The helper is always joined, and its exception re-raised."""
     work = np.cumsum(sizes * sizes)
-    if not work.size or work[-1] < _SPLIT_WORK or _usable_cpus() < 2:
+    if not work.size or work[-1] < _SPLIT_WORK or _host.usable_cpus() < 2:
         _sterf(dsterf, sizes.tolist(), diags.tolist())
         return
     import threading  # logging has loaded it

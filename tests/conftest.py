@@ -22,6 +22,18 @@ settings.register_profile("vibrot", deadline=None)
 settings.load_profile("vibrot")
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, such as an unreaped
+    modes.xyz writer."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else 'unreaped'})")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -5,9 +5,12 @@ import logging
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import unittest.mock
 from pathlib import Path
@@ -26,13 +29,25 @@ from conftest import (
     on_helper_thread,
     set_usable_cpus,
 )
-from vibrot import cli
+from vibrot import _host, cli
 from vibrot import dynamics as dyn
 from vibrot import molecule as mo
 from vibrot import rotor as ro
 from vibrot import watson as wa
 from vibrot.cli import JobSpec, ParseError, ValidationError, parse_input, run
 from vibrot.quadform import SymMatrix
+
+
+def run_in_subprocess(argv, threads, cpus=None):
+    """cli.main(argv) in a new interpreter with BLAS at the given thread count;
+    cpus=1 makes the process look as if it could run on one CPU only."""
+    one_cpu = ("import os\n"
+               "os.sched_getaffinity = lambda pid: {0}\n"
+               "os.cpu_count = lambda: 1\n") if cpus == 1 else ""
+    program = one_cpu + "import sys\nfrom vibrot import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    subprocess.run([sys.executable, "-c", program, *argv], env=env, check=True, timeout=120)
 
 
 def write_input(tmp_path, text, name="job.inp"):
@@ -545,23 +560,11 @@ beta = 0.0 0.0
         # At jmax 80 the blocks are split between two threads unless the
         # process sees one CPU, which the last run fakes; each block's values
         # do not depend on the thread that solves it.
-        src = str(Path(cli.__file__).parents[1])
-        one_cpu = ("import os, sys\n"
-                   "os.sched_getaffinity = lambda pid: {0}\n"
-                   "os.cpu_count = lambda: 1\n"
-                   "from vibrot import cli\n"
-                   "sys.exit(cli.main(sys.argv[1:]))\n")
         outputs = []
-        for threads, split in (("1", True), ("2", True), ("2", False)):
-            out = tmp_path / f"threads{threads}-split{split}"
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            program = ["-m", "vibrot.cli"] if split else ["-c", one_cpu]
-            subprocess.run(
-                [sys.executable, *program, "analyze", str(FIXTURES / "water.inp"),
-                 "--tasks", "rotor", "--jmax", "80", "--out", str(out)],
-                env=env, check=True, timeout=120,
-            )
+        for threads, cpus in (("1", None), ("2", None), ("2", 1)):
+            out = tmp_path / f"threads{threads}-cpus{cpus}"
+            run_in_subprocess(["analyze", str(FIXTURES / "water.inp"), "--tasks", "rotor",
+                               "--jmax", "80", "--out", str(out)], threads, cpus)
             outputs.append([(out / name).read_bytes() for name in ("report.json", "levels.txt")])
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][1].count(b"\n") == 2 + 81**2
@@ -1558,3 +1561,161 @@ class TestRotorBandSolver:
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         huge = write_input(tmp_path, (FIXTURES / "water.inp").read_text() + HUGE_ROTOR)
         self.rotor_outputs(tmp_path, [(FIXTURES / "water.inp", 30), (huge, 30)])
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at 2 threads during the test, at its old count after
+    it; a job that does not undo its one-thread pin leaves 1 behind."""
+    count = _host._thread_count()
+    if count is None:
+        pytest.skip("numpy's build has no OpenBLAS thread setting")
+    get, put = count
+    old = get()
+    put(2)
+    yield get
+    put(old)
+
+
+class TestBlasThreads:
+    """cli.run pins numpy's OpenBLAS to one thread for the job, so no output
+    depends on the BLAS thread count."""
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # The solve, the trajectory and the Watson sums are BLAS products that
+        # OpenBLAS splits by its thread count, which changes their rounding.
+        # This chain's modes.xyz has 20 x 120 x 114 values, so on two CPUs a
+        # forked child writes it; the last run fakes one CPU, which writes it
+        # in place.
+        path = write_input(tmp_path, chain_input(40, 7, dynamics=True, rotor=False))
+        assert 20 * 120 * 114 >= cli._FORK_VALUES
+        names = ("levels.txt", "modes.xyz", "report.json", "trajectory.csv")
+        outputs = []
+        for threads, cpus in (("1", None), ("2", None), ("2", 1)):
+            out = tmp_path / f"threads{threads}-cpus{cpus}"
+            run_in_subprocess(["analyze", str(path), "--tasks", ",".join(cli.TASKS),
+                               "--out", str(out)], threads, cpus)
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("exit_code", [0, 2, 3, "uncaught"])
+    def test_the_pin_is_undone_on_every_exit(self, tmp_path, monkeypatch, capsys,
+                                             two_blas_threads, exit_code):
+        seen = []
+        parse = cli.parse_input
+
+        def parse_and_look(path):
+            seen.append(two_blas_threads())
+            if exit_code == "uncaught":
+                raise RuntimeError("not caught by run")
+            return parse(path)
+
+        monkeypatch.setattr(cli, "parse_input", parse_and_look)
+        path = FIXTURES / "water.inp"
+        if exit_code == 2:
+            path = tmp_path / "missing.inp"
+        elif exit_code == 3:  # the overflowing solve of test_overflow_exits_3_with_no_outputs
+            path = write_input(tmp_path, (FIXTURES / "twomass.inp").read_text().replace(
+                "-1.0 2.0", "1e308 1.7e308", 1))
+        argv = ["analyze", str(path), "--out", str(tmp_path / "out")]
+        if exit_code == "uncaught":
+            with pytest.raises(RuntimeError, match="not caught by run"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == exit_code
+        assert seen == [1]
+        assert two_blas_threads() == 2
+
+
+def sleep_in_child(parent):
+    """modes.xyz chunks that never come: the writer child sleeps instead."""
+    assert os.getpid() != parent, "modes.xyz was written in place"
+    time.sleep(60)
+    yield b""
+
+
+def raise_in_child(parent):
+    assert os.getpid() != parent, "modes.xyz was written in place"
+    yield b"2\n"
+    raise RuntimeError("formatter failed")
+
+
+def kill_child(parent):
+    assert os.getpid() != parent, "modes.xyz was written in place"
+    os.kill(os.getpid(), signal.SIGKILL)
+    yield b""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+class TestWriterChild:
+    """On two or more CPUs a modes.xyz of at least cli._FORK_VALUES values is
+    written by a forked child while the job goes on.  Every failure, the
+    child's or the job's, leaves no output, no process and no thread behind,
+    and the BLAS pin undone.  Here the threshold is lowered to fork for water."""
+
+    @staticmethod
+    def water_job(tmp_path, monkeypatch, cpus, out="out"):
+        set_usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "_FORK_VALUES", 1)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        code = cli.main(["analyze", str(FIXTURES / "water.inp"), "--tasks",
+                         "modes,watson-diagnostics,rotor", "--out", str(tmp_path / out)])
+        return code, len(forks)
+
+    def test_the_child_writes_the_bytes_written_in_place(self, tmp_path, monkeypatch):
+        assert self.water_job(tmp_path, monkeypatch, 1, "in-place") == (0, 0)
+        assert self.water_job(tmp_path, monkeypatch, 2, "child") == (0, 1)
+        names = ["levels.txt", "modes.xyz", "report.json"]
+        assert sorted(p.name for p in (tmp_path / "child").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "child" / name).read_bytes() == (
+                tmp_path / "in-place" / name).read_bytes()
+
+    @pytest.mark.parametrize("failure,message", [
+        ("child-raises", "error: the process writing modes.xyz exited with status 1"),
+        ("child-killed", "error: the process writing modes.xyz was killed by signal 9"),
+        ("job-fails", "numerical failure: coriolis_data failed"),
+        ("job-raises", None),
+    ])
+    def test_a_failure_leaves_nothing_behind(self, tmp_path, monkeypatch, capsys,
+                                             two_blas_threads, failure, message):
+        parent = os.getpid()
+        writer = {"child-raises": raise_in_child, "child-killed": kill_child}.get(
+            failure, sleep_in_child)
+        monkeypatch.setattr(cli, "_xyz_frames", lambda *args: writer(parent))
+        if failure.startswith("job"):
+            error = wa.WatsonError if failure == "job-fails" else RuntimeError
+
+            def coriolis_data(*args):
+                raise error("coriolis_data failed")
+
+            monkeypatch.setattr(wa, "coriolis_data", coriolis_data)
+        threads = threading.active_count()
+        start = time.monotonic()
+        if message is None:
+            with pytest.raises(RuntimeError, match="coriolis_data failed"):
+                self.water_job(tmp_path, monkeypatch, 2)
+        else:
+            assert self.water_job(tmp_path, monkeypatch, 2) == (3, 1)
+            assert capsys.readouterr().err == message + "\n"
+        assert time.monotonic() - start < 30  # a sleeping child was killed
+        assert not any((tmp_path / "out").iterdir())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == threads
+        assert two_blas_threads() == 2
+
+    def test_a_small_batch_chain_writes_in_place(self, tmp_path, monkeypatch):
+        # the largest modes.xyz of the benchmark's small-batch workload: 12
+        # atoms, 30 modes, 20 frames
+        def no_fork():
+            raise AssertionError("forked for a small modes.xyz")
+
+        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = write_input(tmp_path, chain_input(12, 3, dynamics=True, rotor=True))
+        assert cli.main(["analyze", str(path), "--tasks", ",".join(cli.TASKS),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert 20 * 36 * 30 < cli._FORK_VALUES
