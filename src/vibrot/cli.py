@@ -61,7 +61,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import _host
+from . import _host, constants
 from . import dynamics as dyn
 from . import molecule as mo
 from . import normalmodes as nm
@@ -84,7 +84,6 @@ XYZ_VALUES_MAX = 10_000_000
 # Most rotor levels, (jmax + 1)^2, that --jmax may ask for: 10^6 levels (jmax
 # <= 999) are about 145 MB of report.json and 48 MB of levels.txt.
 ROTOR_LEVELS_MAX = 1_000_000
-UNIT_MODES = ("natural", "cm")
 
 log = logging.getLogger(__name__)
 
@@ -131,8 +130,10 @@ class JobSpec:
             if t not in TASKS:
                 raise ValidationError(f"unknown task {t!r}; choose from {', '.join(TASKS)}")
         self.tasks = tasks
-        if self.unit_mode not in UNIT_MODES:
-            raise ValidationError(f"unit mode must be one of {', '.join(UNIT_MODES)}")
+        try:
+            constants.unit_factors(self.unit_mode)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
         if self.frames < 2:
             raise ValidationError("frames must be at least 2")
         if not (math.isfinite(self.amplitude) and self.amplitude > 0):
@@ -253,18 +254,14 @@ def _atom_index(lineno: int, token: str, natoms: int) -> int:
     return idx - 1
 
 
-# The internal coordinates given by atoms: keyword -> (class, atom count).
-_ATOM_COORDINATES = {"stretch": (mo.BondStretch, 2), "bend": (mo.AngleBend, 3),
-                     "torsion": (mo.Torsion, 4)}
-
-
 def _parse_internal_coordinates(lines, natoms: int, ncart: int, dim: int):
     coords = []
     for lineno, line in lines:
         toks = line.split()
         kind = toks[0].lower()
         args = toks[1:]
-        cls, count = _ATOM_COORDINATES.get(kind, (None, None))
+        cls = mo.ATOM_COORDINATES.get(kind, (None,))[0]
+        count = cls and len(cls.__match_args__)  # its atom indices
         try:
             if len(args) == count:
                 coords.append(cls(*(_atom_index(lineno, a, natoms) for a in args)))
@@ -293,7 +290,7 @@ def _parse_internal_coordinates(lines, natoms: int, ncart: int, dim: int):
                 raise ParseError(
                     lineno,
                     f"unknown internal coordinate {line!r} "
-                    "(stretch/bend/torsion/cart/lincomb)",
+                    f"({'/'.join([*mo.ATOM_COORDINATES, 'cart', 'lincomb'])})",
                 )
         except mo.MoleculeError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
@@ -338,8 +335,8 @@ def parse_input(path) -> ParsedInput:
     """Parse and validate an input file into domain objects."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     sections = _split_sections(text)
 
@@ -449,12 +446,10 @@ def _words(chars) -> np.ndarray:
 _N4 = np.arange(10_000)[:, None]
 _CHARS4 = _N4 // [1000, 100, 10, 1] % 10 + ord("0")
 _DIGITS4 = _words(_CHARS4)                                                  # "0042"
-_INT4 = _words(np.where(_N4 >= [1000, 100, 10, 0], _CHARS4, 0))             # "\0\042"
 _POINT2 = _words([(0, ord("."), *c[2:]) for c in _CHARS4[:100]])           # "\0.42"
 _SIGN = _words([(0, 0, 0, 0), (0, 0, 0, ord("-"))])                        # "\0\0\0-"
 _LEAD = _words([(0, s, c[3], ord(".")) for s in (0, ord("-")) for c in _CHARS4[:10]])  # "\0-4."
 _EXP = _words([list(b"e%+03d" % e) for e in range(-32, 14)])               # "e-05"
-_RJUST4 = _words(np.where(_N4 >= [1000, 100, 10, 0], _CHARS4, ord(" ")))    # "  42"
 _RJUST3 = _words(np.where(_N4 >= [10**4, 100, 10, 1], _CHARS4, [0, 32, 32, 32])[:1000])  # "\0 42"
 del _N4, _CHARS4
 
@@ -516,7 +511,7 @@ def _table_words(conv) -> np.ndarray:
     """The word table of a lookup column, one row of words per value.
 
     conv is a tuple of labels, or "%d" or "%<width>d", whose table holds
-    conv % v for 0 <= v < _INT_TABLE, built from digits as _INT4 is.
+    conv % v for 0 <= v < _INT_TABLE, as words: PAD or blanks, then digits.
     """
     if isinstance(conv, tuple):
         texts = [label.encode() for label in conv]
@@ -532,6 +527,10 @@ def _table_words(conv) -> np.ndarray:
     return _words(np.where((n >= place) | (place == 1), n // place % 10 + ord("0"), blank)).reshape(
         _INT_TABLE, -1
     )
+
+
+_INT4 = _table_words("%d")[:, 0]     # "\0\042"
+_RJUST4 = _table_words("%4d")[:, 0]  # "  42"
 
 
 def _divmod(x: np.ndarray, c: int):
@@ -678,7 +677,9 @@ def _format_block(block, record, layout) -> bytes:
 # -- deterministic JSON --------------------------------------------------------
 
 
-_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+# controls, and lone surrogates (a file name's undecodable bytes), as \uXXXX
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in (*range(0x20), *range(0xD800, 0xE000))} | {
+    ord('"'): '\\"', ord("\\"): "\\\\"}
 _JSON_CONTAINERS = (dict, list, tuple, np.ndarray, ro.RotorLevels)
 
 
@@ -686,18 +687,11 @@ def _json_escape(s: str) -> str:
     return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
-def emit_json(obj, indent: int = 0, chunks: bool = False):
-    """JSON text with insertion-ordered keys and %.12e float formatting.
-
-    A dict, list, array or RotorLevels (written as a list of level dicts) is
-    _json_chunks' text.  With chunks=True the text comes as an iterator of
-    UTF-8 chunks instead, which is how run() streams report.json.
-    """
-    if chunks:
-        return _json_chunks(obj, indent)
-    if isinstance(obj, _JSON_CONTAINERS):
-        return b"".join(_json_chunks(obj, indent)).decode()
-    return _json_scalar(obj)
+def emit_json(obj, indent: int = 0):
+    """JSON text with insertion-ordered keys and %.12e float formatting, as an
+    iterator of UTF-8 chunks (run() streams them into report.json).  A
+    RotorLevels is written as a list of level dicts."""
+    return _json_chunks(obj, indent)
 
 
 def _json_scalar(obj) -> str:
@@ -724,11 +718,6 @@ def _json_chunks(obj, indent: int):
     blocks, so no chunk holds more than a block; a scalar inside a dict, list
     or smaller array is one chunk with the text before it."""
     pad, inner = "  " * indent, "\n" + "  " * (indent + 1)
-    if (
-        isinstance(obj, (list, tuple)) and len(obj) >= JSON_TABLE_MIN_VALUES
-        and all(isinstance(v, float) for v in obj)
-    ):
-        obj = np.array(obj)
     if isinstance(obj, ro.RotorLevels) and len(obj):
         yield from _level_list(obj, indent)
     elif (
@@ -1058,7 +1047,7 @@ def run(job: JobSpec) -> int:
             report[task.key], files = task.run(parsed, modes, job)
             for file in files:
                 outputs.write(*file)
-        outputs.write("report.json", itertools.chain(emit_json(report, chunks=True), [b"\n"]))
+        outputs.write("report.json", itertools.chain(emit_json(report), [b"\n"]))
         outputs.wait()
         return 0
     except (ParseError, ValidationError, OSError) as exc:
@@ -1093,7 +1082,8 @@ def _parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tasks", default="modes",
                          help=f"comma-separated subset of: {', '.join(TASKS)}")
     analyze.add_argument("--out", default=".", help="output directory")
-    analyze.add_argument("--units", default="cm", choices=UNIT_MODES, help="frequency units")
+    analyze.add_argument("--units", default="cm", metavar="{%s}" % ",".join(constants.UNIT_MODES),
+                         help="frequency units")
     analyze.add_argument("--jmax", type=int, default=5, help="highest rotor J")
     analyze.add_argument("--frames", type=int, default=20, help="animation frames per mode")
     analyze.add_argument("--amplitude", type=float, default=0.3,

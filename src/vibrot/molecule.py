@@ -307,6 +307,14 @@ def _torsion_gradient(pos, i, j, k, l):
     return {i: gi, j: gj, k: gk, l: gl}
 
 
+# The internal coordinates given by atoms: keyword -> (class, gradient).  The
+# class's fields are the atom indices, in the order the gradient takes them.
+ATOM_COORDINATES = {"stretch": (BondStretch, _stretch_gradient),
+                    "bend": (AngleBend, _bend_gradient),
+                    "torsion": (Torsion, _torsion_gradient)}
+_GRADIENTS = dict(ATOM_COORDINATES.values())
+
+
 def _check_index(idx: int, natoms: int):
     if not 0 <= idx < natoms:
         raise IndexOutOfRange(f"atom index {idx} outside 0..{natoms - 1}")
@@ -322,18 +330,13 @@ def build_b_matrix(mol: Molecule, ics: InternalCoordinateSet) -> BMatrix:
     n, d = mol.natoms, mol.dimensionality
     rows = np.zeros((len(ics), mol.ncart))
     for r, coord in enumerate(ics.coords):
-        if isinstance(coord, BondStretch):
-            for a in (coord.i, coord.j):
+        gradient = _GRADIENTS.get(type(coord))
+        if gradient:
+            atoms = [getattr(coord, f) for f in coord.__match_args__]
+            for a in atoms:
                 _check_index(a, n)
-            grads = _stretch_gradient(pos, coord.i, coord.j)
-        elif isinstance(coord, AngleBend):
-            for a in (coord.i, coord.j, coord.k):
-                _check_index(a, n)
-            grads = _bend_gradient(pos, coord.i, coord.j, coord.k)
-        elif isinstance(coord, Torsion):
-            for a in (coord.i, coord.j, coord.k, coord.l):
-                _check_index(a, n)
-            grads = _torsion_gradient(pos, coord.i, coord.j, coord.k, coord.l)
+            for atom, g in gradient(pos, *atoms).items():
+                rows[r, atom * d : atom * d + d] = g[:d]
         elif isinstance(coord, CartesianDisplacement):
             _check_index(coord.atom, n)
             if not 0 <= coord.axis < d:
@@ -341,18 +344,14 @@ def build_b_matrix(mol: Molecule, ics: InternalCoordinateSet) -> BMatrix:
                     f"axis {coord.axis} outside the {d}-dimensional model"
                 )
             rows[r, coord.atom * d + coord.axis] = 1.0
-            continue
         elif isinstance(coord, LinearCombination):
             if len(coord.weights) != mol.ncart:
                 raise DimensionMismatch(
                     f"linear combination needs {mol.ncart} weights"
                 )
             rows[r] = coord.weights
-            continue
         else:
             raise MoleculeError(f"unknown internal coordinate {coord!r}")
-        for atom, g in grads.items():
-            rows[r, atom * d : atom * d + d] = g[:d]
     return BMatrix(rows=rows, kinds=("internal",) * len(ics))
 
 

@@ -95,14 +95,9 @@ def frequencies_cm(lambdas, unit_mode: str = "cm") -> np.ndarray:
     aJ Angstrom^-2 amu^-1.  The zero_modes are roundoff and give 0; any other
     negative eigenvalue marks a saddle point, a negative wavenumber.
     """
+    factor = constants.unit_factors(unit_mode)[0]
     lam = np.array(lambdas, dtype=float)
     lam[zero_modes(lam)] = 0.0
-    if unit_mode == "natural":
-        factor = 1.0
-    elif unit_mode == "cm":
-        factor = constants.WAVENUMBER_CM
-    else:
-        raise ValueError(f"unknown unit mode {unit_mode!r}")
     return factor * np.sign(lam) * np.sqrt(np.abs(lam))
 
 
@@ -120,7 +115,9 @@ def solve(
     the SVD of B M^{-1/2} and additionally fills the l matrix and the
     per-mode Cartesian displacement vectors.  A singular G raises
     NotPositiveDefinite, or RankDeficient (dependent rows) when B was given.
+    An unknown unit mode raises ValueError before anything is factored.
     """
+    constants.unit_factors(unit_mode)
     if g.dim != f.dim:
         raise DimensionMismatch(f"G is {g.dim}-dim but F is {f.dim}-dim")
     cartesian = b is not None and masses is not None

@@ -242,18 +242,10 @@ def inertia_expansion(
 
 
 def watson_u(ie: InertiaExpansion, q, unit_mode: str = "cm") -> float:
-    """Watson pseudo-potential U = -(hbar^2 / 8) Tr mu(Q).
-
-    natural: hbar = 1, inertia in amu Angstrom^2 as given.
-    cm: wavenumbers for inertia in amu Angstrom^2.
-    """
-    trace_mu = float(np.trace(ie.mu(q)))
-    if unit_mode == "natural":
-        return -trace_mu / 8.0
-    if unit_mode == "cm":
-        # hbar^2 / (8 h c) = (1/4) h / (8 pi^2 c)
-        return -(constants.ROTATIONAL_CM / 4.0) * trace_mu
-    raise ValueError(f"unknown unit mode {unit_mode!r}")
+    """Watson pseudo-potential U = -(hbar^2 / 8) Tr mu(Q), inertia in amu
+    Angstrom^2; natural takes hbar = 1, cm gives wavenumbers."""
+    factor = constants.unit_factors(unit_mode)[1]
+    return -factor * float(np.trace(ie.mu(q)))
 
 
 def sum_rule_residuals(

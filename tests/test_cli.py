@@ -29,9 +29,10 @@ from conftest import (
     on_helper_thread,
     set_usable_cpus,
 )
-from vibrot import _host, cli
+from vibrot import _host, cli, constants
 from vibrot import dynamics as dyn
 from vibrot import molecule as mo
+from vibrot import normalmodes as nm
 from vibrot import rotor as ro
 from vibrot import watson as wa
 from vibrot.cli import JobSpec, ParseError, ValidationError, parse_input, run
@@ -51,8 +52,9 @@ def run_in_subprocess(argv, threads, cpus=None):
 
 
 def write_input(tmp_path, text, name="job.inp"):
+    """Write text as UTF-8; a lone surrogate "\\udcXX" stands for the byte XX."""
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -387,6 +389,29 @@ class TestRun:
     def test_unknown_unit_mode_is_usage_error(self):
         with pytest.raises(ValidationError, match="unit mode must be one of natural, cm"):
             JobSpec(input_path="x", unit_mode="spectroscopic")
+
+    def test_every_entry_point_rejects_a_unit_through_one_check(self, monkeypatch, capsys):
+        with pytest.raises(ValueError) as one:
+            constants.unit_factors("parsecs")
+        message = str(one.value)
+        parsed = parse_input(FIXTURES / "water.inp")
+        b = mo.build_b_matrix(parsed.molecule, parsed.internal_coordinates)
+        masses = mo.MassMatrix.from_molecule(parsed.molecule)
+        g, f = mo.build_g_matrix(b, masses), parsed.force_field
+        res = nm.solve(g, f, b=b, masses=masses)
+        ie = wa.inertia_expansion(parsed.molecule, res.l)
+        for name in ("svd", "eigh"):  # solve checks the name before it factors anything
+            monkeypatch.setattr(np.linalg, name, unittest.mock.Mock(side_effect=AssertionError))
+        for reject in (lambda: JobSpec(input_path="x", unit_mode="parsecs"),
+                       lambda: nm.frequencies_cm(res.lambdas, "parsecs"),
+                       lambda: nm.solve(g, f, b=b, masses=masses, unit_mode="parsecs"),
+                       lambda: nm.solve(g, f, unit_mode="parsecs"),
+                       lambda: wa.watson_u(ie, np.zeros(3), "parsecs")):
+            with pytest.raises(ValueError) as exc:
+                reject()
+            assert str(exc.value) == message
+        assert cli.main(["analyze", "x", "--units", "parsecs"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_jmax_bounded_by_level_count(self, tmp_path, capsys):
         # (jmax + 1)^2 levels: 999 is the largest jmax within ROTOR_LEVELS_MAX.
@@ -1036,10 +1061,14 @@ class TestExactFormatter:
         assert_table_matches_per_cell(values, convs, seps)
 
 
+def emit_json_text(obj, indent=0):
+    return b"".join(cli.emit_json(obj, indent)).decode()
+
+
 def json_per_element(seq, indent):
-    """A list emitted element by element, the path every non-float list takes."""
+    """A list emitted element by element, the path every list takes."""
     pad, inner = "  " * indent, "  " * (indent + 1)
-    items = [inner + cli.emit_json(v, indent + 1) for v in seq]
+    items = [inner + emit_json_text(v, indent + 1) for v in seq]
     return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
@@ -1061,13 +1090,13 @@ class TestJsonEmitter:
     )
     @pytest.mark.parametrize("indent", [0, 3])
     def test_float_lists_match_element_path(self, seq, indent):
-        assert cli.emit_json(seq, indent) == json_per_element(seq, indent)
-        assert cli.emit_json(tuple(seq), indent) == json_per_element(seq, indent)
+        assert emit_json_text(seq, indent) == json_per_element(seq, indent)
+        assert emit_json_text(tuple(seq), indent) == json_per_element(seq, indent)
 
     def test_float_array_matches_element_path(self):
         arr = np.array([[-0.0, 1.25e-7], [3.0, -4.5e300]])
-        assert cli.emit_json(arr, 1) == json_per_element(list(arr), 1)
-        assert cli.emit_json(arr[0]) == json_per_element(list(arr[0]), 0)
+        assert emit_json_text(arr, 1) == json_per_element(list(arr), 1)
+        assert emit_json_text(arr[0]) == json_per_element(list(arr[0]), 0)
 
     @pytest.mark.parametrize(
         "obj",
@@ -1086,7 +1115,7 @@ class TestJsonEmitter:
     )
     @pytest.mark.parametrize("indent", [0, 3])
     def test_arrays_match_per_element_emitter(self, obj, indent):
-        assert cli.emit_json(obj, indent) == emit_json_per_element(obj, indent)
+        assert emit_json_text(obj, indent) == emit_json_per_element(obj, indent)
 
     # 1-D and 2-D arrays of 30 to 33 values, on both sides of the table floor
     @pytest.mark.parametrize("shape", [(31,), (32,), (33,), (1, 31), (1, 32), (10, 3), (8, 4),
@@ -1100,20 +1129,20 @@ class TestJsonEmitter:
         format_blocks = cli._format_blocks
         monkeypatch.setattr(cli, "_format_blocks",
                             lambda *a, **k: tables.append(a) or format_blocks(*a, **k))
-        assert cli.emit_json(arr, indent) == emit_json_per_element(arr, indent)
+        assert emit_json_text(arr, indent) == emit_json_per_element(arr, indent)
         assert len(tables) == (arr.size >= 32)  # the table path exactly from the floor on
-        assert cli.emit_json(arr.tolist(), indent) == emit_json_per_element(arr.tolist(), indent)
+        assert emit_json_text(arr.tolist(), indent) == emit_json_per_element(arr.tolist(), indent)
 
     @pytest.mark.parametrize("shape", [(7,), (3, 4), (3, 4, 2), (1, 1, 9)])
     def test_arrays_across_format_blocks(self, monkeypatch, shape):
         monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", 5)
         rng = np.random.default_rng(len(shape))
         arr = rng.normal(size=shape) * 10.0 ** rng.integers(-40, 40, shape)
-        assert cli.emit_json(arr, 2) == emit_json_per_element(arr, 2)
+        assert emit_json_text(arr, 2) == emit_json_per_element(arr, 2)
 
     def test_fixed_float_format(self):
-        assert cli.emit_json(1.0) == "1.000000000000e+00"
-        assert cli.emit_json(float("inf")) == '"inf"'
+        assert emit_json_text(1.0) == "1.000000000000e+00"
+        assert emit_json_text(float("inf")) == '"inf"'
 
     def test_nested_order_stable(self):
         obj = {"b": [1, 2.5], "a": {"x": None, "y": True}}
@@ -1121,7 +1150,7 @@ class TestJsonEmitter:
             '{\n  "b": [\n    1,\n    2.500000000000e+00\n  ],\n'
             '  "a": {\n    "x": null,\n    "y": true\n  }\n}'
         )
-        assert cli.emit_json(obj) == expected
+        assert emit_json_text(obj) == expected
 
 
 def json_escape_per_char(s):
@@ -1129,7 +1158,7 @@ def json_escape_per_char(s):
     for ch in s:
         if ch in '"\\':
             out.append("\\" + ch)
-        elif ord(ch) < 0x20:
+        elif ord(ch) < 0x20 or 0xD800 <= ord(ch) < 0xE000:  # a lone surrogate is not UTF-8
             out.append(f"\\u{ord(ch):04x}")
         else:
             out.append(ch)
@@ -1257,7 +1286,7 @@ class TestRotorWriters:
 
     def test_emit_json_matches_per_element_writer(self):
         _, _, report = self.rotor_output()
-        text = cli.emit_json(report)
+        text = emit_json_text(report)
         assert_same_text(text, emit_json_per_element(report))
         assert json.loads(text)[self.ODD][self.ODD][1] == self.ODD
 
@@ -1332,8 +1361,9 @@ class TestRotorWriters:
 
     def test_escape_matches_per_char_loop(self):
         for s in ("", "plain", 'say "hi"', "a\\b", "tab\t", self.ODD,
-                  "".join(map(chr, range(0x90)))):
+                  "".join(map(chr, range(0x90))), "tw\udcffo \ud800 \udfff\ue000"):
             assert cli._json_escape(s) == json_escape_per_char(s)
+            assert json.loads(cli._json_escape(s).encode()) == s
 
 
 # -- the command-line contract under drawn inputs ------------------------------
@@ -1343,8 +1373,9 @@ CHAIN_ATOMS = (("C", 12.0), ("N", 14.003074), ("O", 15.994915), ("F", 18.998403)
 EXTREME_NUMBERS = ("1e308", "-1e308", "1e200", "-1e200", "1e-300", "5e-324", "0", "-0.0",
                    "1e16", "1e999", "nan", "inf")
 # (kind, two indices taken modulo the line or token count, a replacement number)
-MUTATIONS = st.tuples(st.sampled_from(("delete", "swap", "extreme")), st.integers(0, 10**6),
-                      st.integers(0, 10**6), st.sampled_from(EXTREME_NUMBERS))
+MUTATIONS = st.tuples(st.sampled_from(("delete", "swap", "extreme", "byte")),
+                      st.integers(0, 10**6), st.integers(0, 10**6),
+                      st.sampled_from(EXTREME_NUMBERS))
 # the string fields of report.json; every other string is a non-finite float
 REPORT_LABELS = ("input", "tasks", "unit_mode", "classification", "parity")
 
@@ -1398,16 +1429,20 @@ def chain_input(natoms, seed, dynamics, rotor):
 
 def mutate(text, mutations):
     """Apply (kind, i, j, number) edits: delete line i, swap tokens i and j,
-    or put the number in place of numeric token i."""
+    put the number in place of numeric token i, or put the byte 0xff, which
+    UTF-8 never uses, at offset j of token i."""
     rows = [line.split() for line in text.splitlines()]
     for kind, i, j, number in mutations:
         if kind == "delete":
             del rows[i % len(rows)]
             continue
         tokens = [(r, c) for r, row in enumerate(rows) for c, tok in enumerate(row)
-                  if kind == "swap" or re.fullmatch(r"[-+0-9.e]+", tok)]
+                  if kind != "extreme" or re.fullmatch(r"[-+0-9.e]+", tok)]
         (r1, c1), (r2, c2) = tokens[i % len(tokens)], tokens[j % len(tokens)]
-        if kind == "swap":
+        if kind == "byte":
+            tok, k = rows[r1][c1], j % (len(rows[r1][c1]) + 1)
+            rows[r1][c1] = tok[:k] + "\udcff" + tok[k:]
+        elif kind == "swap":
             rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
         else:
             rows[r1][c1] = number
@@ -1457,7 +1492,7 @@ class TestCliContract:
         dynamics=st.booleans(),
         rotor=st.booleans(),
         tasks=st.sets(st.sampled_from(cli.TASKS), min_size=1),
-        units=st.sampled_from(cli.UNIT_MODES),
+        units=st.sampled_from(tuple(constants.UNIT_MODES)),
         mutations=st.lists(MUTATIONS, max_size=2),
     )
     def test_drawn_chains_keep_the_contract(
@@ -1478,6 +1513,24 @@ class TestCliContract:
                 assert "report.json" in [p.name for p in written]
                 for p in written:
                     assert np.isfinite(output_numbers(p)).all(), p.name
+
+    def test_input_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.inp"
+        path.write_bytes(b"[atoms]\nO 15.999 0 0 0\xff\n")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_file_name_that_is_not_utf8_round_trips(self, tmp_path):
+        name = os.fsdecode(b"tw\xffo.inp")
+        try:
+            path = write_input(tmp_path, (FIXTURES / "twomass.inp").read_text(), name)
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        assert cli.main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["input"] == name
 
 
 class TestTaskTable:

@@ -28,6 +28,8 @@ from vibrot.watson import (
     watson_u,
 )
 
+EPS = np.finfo(float).eps
+
 # -- independent oracles --------------------------------------------------------
 
 
@@ -580,6 +582,56 @@ class TestPlanarRelations:
         assert np.abs(a[:, 0, 0] - a[:, 1, 1] - a[:, 2, 2]).max() <= 1e-13 * np.abs(a).max()
         assert np.abs(cd.zeta[1:]).max() <= 1e-13
         assert np.abs(cd.zeta[0]).max() > 0.1
+
+    # A zig-zag or cis chain of 4-6 atoms in the xy-plane, with N - 1
+    # stretches, N - 2 bends and N - 3 torsions at 0 or 180 degrees.  B's
+    # stretch and bend rows lie in the plane and its torsion rows along z, and
+    # F couples no bend or stretch to a torsion, so the N - 3 torsion modes are
+    # the out-of-plane ones (Wilson, Decius & Cross, ch. 6).  Along every mode
+    # a_k^zz = a_k^xx + a_k^yy; an in-plane mode has a_k^xz = a_k^yz = 0; zeta^z
+    # couples only in-plane pairs, zeta^x and zeta^y only mixed pairs.
+    @settings(max_examples=40)
+    @given(st.integers(4, 6), st.integers(0, 2**32 - 1))
+    def test_planar_chain_with_out_of_plane_modes(self, natoms, seed):
+        rng = np.random.default_rng(seed)
+        heading, pos = rng.uniform(-math.pi, math.pi), [np.zeros(3)]
+        for k in range(1, natoms):
+            if k > 1:  # turn by pi - theta, to either side
+                heading += rng.choice([-1.0, 1.0]) * (math.pi - math.radians(rng.uniform(100, 130)))
+            pos.append(pos[-1] + rng.uniform(1.0, 1.6) * np.array([math.cos(heading),
+                                                                   math.sin(heading), 0.0]))
+        masses = rng.choice([1.008, 12.0, 14.003074, 15.994915, 31.972071], natoms)
+        mol = mo.Molecule.from_lists(["X"] * natoms, masses, pos)
+        coords = [mo.BondStretch(k, k + 1) for k in range(natoms - 1)]
+        coords += [mo.AngleBend(k, k + 1, k + 2) for k in range(natoms - 2)]
+        coords += [mo.Torsion(k, k + 1, k + 2, k + 3) for k in range(natoms - 3)]
+        d = np.r_[rng.uniform(4.0, 8.0, natoms - 1), rng.uniform(0.5, 1.0, natoms - 2),
+                  rng.uniform(0.05, 0.2, natoms - 3)]
+        # D^-1/2 F D^-1/2 = 1 + c + c^T has off-diagonal entries of at most 0.08
+        # in rows of at most 12, so F > 0 (Gershgorin)
+        c = rng.uniform(-0.04, 0.04, (len(d), len(d)))
+        c[: 2 * natoms - 3, 2 * natoms - 3 :] = c[2 * natoms - 3 :, : 2 * natoms - 3] = 0.0
+        f = np.diag(d) + (c + c.T) * np.sqrt(np.outer(d, d))
+        b = mo.build_b_matrix(mol, mo.InternalCoordinateSet(tuple(coords)))
+        m = mo.MassMatrix.from_molecule(mol)
+        res = nm.solve(mo.build_g_matrix(b, m), nm.ForceField(SymMatrix(f)), b=b, masses=m)
+        shaped, lam = res.l.reshape(natoms, 3, -1), res.lambdas
+        out = (shaped[:, 2] ** 2).sum(axis=0) > 0.5
+        assert out.sum() == natoms - 3
+        # roundoff mixes the two classes by about eps / (their relative gap):
+        # at most 7.3 times that over 3000 drawn chains
+        tol = 64 * EPS * lam.max() / np.abs(lam[out][:, None] - lam[~out]).min()
+        assert np.abs(shaped[:, :2][..., out]).max() <= tol
+        assert np.abs(shaped[:, 2][:, ~out]).max() <= tol
+        cd = coriolis_data(mol, res.l)
+        a, zeta = cd.a_coeff, cd.zeta
+        scale = np.abs(a).max()
+        assert np.abs(a[:, 2, 2] - a[:, 0, 0] - a[:, 1, 1]).max() <= 32 * EPS * scale
+        assert np.abs(a[~out][:, :2, 2]).max() <= 32 * EPS * scale
+        mixed = out[:, None] != out[None, :]
+        assert np.abs(zeta[2][mixed | np.outer(out, out)]).max() <= tol
+        assert np.abs(zeta[:2][:, ~mixed]).max() <= tol
+        assert np.abs(zeta[2]).max() > 0.1 and np.abs(zeta[:2]).max() > 0.1
 
 
 class TestWatsonU:
