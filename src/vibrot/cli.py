@@ -425,6 +425,14 @@ FORMAT_BLOCK_VALUES = 1 << 13
 JSON_TABLE_MIN_VALUES = 32
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 5**k < 2**53 for k <= 22
+# For %.12e, indexed by the decimal exponent E + 32, -32 <= E <= 12: the
+# exact powers of ten whose products scale |x| to 13 digits, 10^(12 - E) in
+# one product, or 10^22 and then 10^(-10 - E); and the error bound of those
+# products relative to the result, u or 2u with u = 2^-53 (_rounded_digits).
+_EXP10 = np.arange(-32, 13)
+_SCALE1 = _POW10[np.minimum(12 - _EXP10, 22)]
+_SCALE2 = _POW10[np.maximum(-10 - _EXP10, 0)]
+_BOUND = np.where(_EXP10 < -10, 2.0**-52, 2.0**-53)
 
 
 # Formatted text is built in uint32 words, so that one store writes 4 bytes.
@@ -448,10 +456,20 @@ _CHARS4 = _N4 // [1000, 100, 10, 1] % 10 + ord("0")
 _DIGITS4 = _words(_CHARS4)                                                  # "0042"
 _POINT2 = _words([(0, ord("."), *c[2:]) for c in _CHARS4[:100]])           # "\0.42"
 _SIGN = _words([(0, 0, 0, 0), (0, 0, 0, ord("-"))])                        # "\0\0\0-"
-_LEAD = _words([(0, s, c[3], ord(".")) for s in (0, ord("-")) for c in _CHARS4[:10]])  # "\0-4."
-_EXP = _words([list(b"e%+03d" % e) for e in range(-32, 14)])               # "e-05"
+_LEAD2 = _words([(s, c[2], ord("."), c[3]) for s in (0, ord("-")) for c in _CHARS4[:100]])  # "-4.2"
+_DIGITS3E = _words(np.column_stack((_CHARS4[:1000, 1:], [ord("e")] * 1000)))  # "042e"
 _RJUST3 = _words(np.where(_N4 >= [10**4, 100, 10, 1], _CHARS4, [0, 32, 32, 32])[:1000])  # "\0 42"
 del _N4, _CHARS4
+# "+05" and a zero byte, where a %.12e cell's tail word (_tails) puts the
+# first byte of its separator
+_EXP3 = np.frombuffer(b"".join(b"%+03d\0" % e for e in range(-32, 14)), np.uint32)
+
+
+def _tails(first_bytes) -> np.ndarray:
+    """The tail word of each first separator byte: three zero bytes, then
+    the byte, or _PAD for an empty separator."""
+    return np.frombuffer(b"".join(b"\0\0\0" + (b or _PAD) for b in first_bytes), np.uint32)
+
 
 # Words per cell of each float conversion.
 _FLOAT_WORDS = {"%.12e": 5, "%.10f": 5, "%14.6f": 4}
@@ -467,10 +485,11 @@ def _rounded_digits(values: np.ndarray, conv: str):
     "%14.6f", digits is round(|x| 10^10) or round(|x| 10^6) and exp10 is 0.
     The scaled value s = |x| 10^k
     is one correctly rounded product with an exact 10^k (k <= 22), or two
-    (10^22, then 10^(k-22)) for the %.12e exponents down to -32, so it lies
-    within steps * spacing(s) of the exact |x| 10^k.  Where frac(s) is farther
-    than that from 1/2, round(s) equals the correctly rounded decimal that %
-    prints.  exact is False, and digits meaningless, at every other value:
+    (10^22, then 10^(k-22)) for the %.12e exponents down to -32.  Where
+    frac(s) is farther from 1/2 than the error bound of those products, no
+    half-integer lies between s and the exact X = |x| 10^k, so round(s)
+    equals the correctly rounded decimal that % prints.  exact is False,
+    and digits meaningless, at every other value:
     near-ties, nan, +-inf, exponents out of range, integer parts of 10^4 or
     more for "%.10f", and for "%14.6f" the values wider than 14 characters
     (integer parts of 10^7 or more) and those with a sign, -0.0 included.
@@ -480,24 +499,32 @@ def _rounded_digits(values: np.ndarray, conv: str):
         if conv == "%.10f":
             exp10 = 0
             s = a * _POW10[10]
-            steps = 1
+            bound = s * 2.0**-53
             exact = s < 1e14 - 0.5  # an integer part of at most 4 digits
         elif conv == "%14.6f":
             exp10 = 0
             s = a * _POW10[6]
-            steps = 1
+            bound = s * 2.0**-53
             exact = (s < 1e13 - 0.5) & ~np.signbit(values)  # 7 integer digits, no sign
         else:
             e = np.floor(np.log10(a))
             exact = (e >= -32) & (e <= 12)
-            exp10 = np.where(exact, e, 0.0).astype(np.int64)
-            k = 12 - exp10
-            k1 = np.minimum(k, 22)
-            s = a * _POW10[k1] * _POW10[k - k1]
-            steps = 1 + (k > 22)
-            # a log10 one off puts s outside [10^12, 10^13); zero prints 0.0...e+00
+            i = np.where(exact, e + 32, 32.0).astype(np.intp)  # zero prints 0.0...e+00
+            exp10 = i - 32
+            s = a * _SCALE1[i] * _SCALE2[i]
+            bound = s * _BOUND[i]
+            # a log10 one off puts s outside [10^12, 10^13)
             exact = (exact & (s >= 1e12) & (s < 1e13)) | (a == 0)
-        exact &= np.abs(s - np.floor(s) - 0.5) > steps * np.spacing(s)
+        # The bound, with u = 2^-53: a correctly rounded product p = fl(y)
+        # has |p - y| <= ulp(p) / 2 <= u p, so one product gives |s - X| <=
+        # u s.  Two, s1 = fl(|x| 10^22) and then s = fl(s1 10^(k-22)), give
+        # |s - X| <= u s1 10^(k-22) + u s <= (2u + u^2) s.  The test below is
+        # exact, and frac(s) - 1/2 is a multiple of ulp(s) = 2^(B-52), where
+        # 2^B <= s < 2^(B+1).  As 2u s = (s / 2^B) ulp(s) < 2 ulp(s), a
+        # multiple above 2u s is at least 2 ulp(s) = 2^(B+1) 2u > (2u + u^2) s:
+        # the u^2 term needs no margin of its own.  (As u s < ulp(s), one
+        # product leaves to % only the s that are half-integers.)
+        exact &= np.abs(s - np.floor(s) - 0.5) > bound
         digits = np.rint(np.where(exact, s, 0.0)).astype(np.int64)
     if conv == "%.12e":
         carry = digits == 10**13  # 9.9999999999995 -> 1.000000000000e+01
@@ -541,11 +568,13 @@ def _divmod(x: np.ndarray, c: int):
     return q, x - q * c
 
 
-def _cell_words(values: np.ndarray, conv):
+def _cell_words(values: np.ndarray, conv, tail=_tails([b""])):
     """(words, exact): the words of conv's cell for each of the flat values.
 
     words is a sequence of word arrays, the first, second, ... word of every
-    cell; a cell is exact where it equals conv % v (conv[v] for labels).
+    cell; a cell is exact where it equals conv % v (conv[v] for labels).  A
+    %.12e cell ends in its separator's first byte: tail holds it, as the
+    last byte of a word, for each of the columns the values cycle through.
     """
     if isinstance(conv, tuple):
         return _table_words(conv).take(values.astype(np.intp), 0).T, np.ones(values.shape, bool)
@@ -566,31 +595,37 @@ def _cell_words(values: np.ndarray, conv):
         fhi, flo = _divmod(frac, 10**4)
         words = (_RJUST3[hi], np.where(hi > 0, _DIGITS4[lo], _RJUST4[lo]), _POINT2[fhi],
                  _DIGITS4[flo])
-    else:  # "\0-1." "2345" "6789" "0123" "e+05"
-        lead, rest = _divmod(digits, 10**12)
-        hi, lo = _divmod(rest, 10**8)
-        mid, low = _divmod(lo, 10**4)
-        words = (_LEAD[lead + 10 * negative], _DIGITS4[hi], _DIGITS4[mid], _DIGITS4[low],
-                 _EXP[exp10 + 32])
+    else:  # "-1.2" "3456" "7890" "123e" "+05,"
+        lead, rest = _divmod(digits, 10**11)
+        hi, lo = _divmod(rest, 10**7)
+        mid, low = _divmod(lo, 10**3)
+        words = (_LEAD2[lead + 100 * negative], _DIGITS4[hi], _DIGITS4[mid], _DIGITS3E[low],
+                 _EXP3[exp10 + 32].reshape(-1, tail.size) | tail)
     return words, exact
 
 
 @functools.lru_cache(maxsize=256)
 def _row_layout(convs: tuple, seps: tuple, lead: int = 0):
-    """(template, layout) of a table row: lead words of prefix, then each
-    column's cell words and its separator's words.
+    """(template, layout, dense) of a table row: lead words of prefix, then
+    each column's cell words and the words of the rest of its separator.
 
-    template is one row with the separators in place and _PAD in the prefix
-    and the cells;
+    A %.12e cell holds the first byte of its separator in its last word, so
+    that the cell and a 1-byte separator fill 5 words; every other cell is
+    followed by all of its separator.  template is one row with the rest of
+    the separators in place and _PAD in the prefix and the cells;
     layout holds (conv, its columns, the first word of each of its cells,
-    where each of the cell's words goes).  Writers format tables of the same
-    columns again and again, so the layouts are kept.
+    where each of the cell's words goes, each cell's separator byte, their
+    tail words); dense is True where only the signs of %.12e cells can be
+    _PAD.  Writers format tables of the same columns again and again, so
+    the layouts are kept.
     """
     sep_bytes = [s.encode() for s in seps]
+    first = [s[:1] if conv == "%.12e" else b"" for conv, s in zip(convs, sep_bytes)]
+    rest = [s[len(f):] for f, s in zip(first, sep_bytes)]
     sizes = [(_FLOAT_WORDS.get(conv) or _table_words(conv).shape[1], -(-len(s) // 4))
-             for conv, s in zip(convs, sep_bytes)]
+             for conv, s in zip(convs, rest)]
     template = np.frombuffer(_PAD * (4 * lead) + b"".join(
-        _PAD * (4 * w) + s.ljust(4 * n, _PAD) for (w, n), s in zip(sizes, sep_bytes)
+        _PAD * (4 * w) + s.ljust(4 * n, _PAD) for (w, n), s in zip(sizes, rest)
     ), np.uint32)
     starts = list(itertools.accumulate((w + n for w, n in sizes), initial=lead))
     groups = {}
@@ -604,8 +639,12 @@ def _row_layout(convs: tuple, seps: tuple, lead: int = 0):
         evenly = at == list(range(at[0], at[-1] + 1, step))
         where = [slice(at[0] + j, at[-1] + j + 1, step) if evenly else np.array(at) + j
                  for j in range(sizes[cs[0]][0])]
-        layout.append((conv, slice(None) if len(cs) == len(convs) else cs, np.array(at), where))
-    return template, layout
+        fused = [first[c] for c in cs]
+        layout.append((conv, slice(None) if len(cs) == len(convs) else cs, np.array(at), where,
+                       fused, _tails(fused)))
+    dense = (set(convs) == {"%.12e"} and all(first) and not lead
+             and not any(len(r) % 4 for r in rest))
+    return template, layout, dense
 
 
 def _format_blocks(values, convs, seps, table=np.asarray, prefix=None):
@@ -626,7 +665,7 @@ def _format_blocks(values, convs, seps, table=np.asarray, prefix=None):
         lead = -(-max(map(len, prefix)) // 4)
         prefix = np.frombuffer(b"".join(p.ljust(4 * lead, _PAD) for p in prefix),
                                np.uint32).reshape(rows, lead)
-    template, layout = _row_layout(tuple(convs), tuple(seps), lead)
+    template, layout, dense = _row_layout(tuple(convs), tuple(seps), lead)
     step = max(1, FORMAT_BLOCK_VALUES // cols)
     # one buffer for every block: a new one per block let the peak RSS of a
     # long run of jmax-200 rotor jobs creep up by megabytes
@@ -637,17 +676,17 @@ def _format_blocks(values, convs, seps, table=np.asarray, prefix=None):
         if lead:
             record[:, :lead] = prefix[start : start + step]
         # no name here holds a block while the next one is formatted
-        yield _format_block(table(values[start : start + step]), record, layout)
+        yield _format_block(table(values[start : start + step]), record, layout, dense)
 
 
-def _format_block(block, record, layout) -> bytes:
+def _format_block(block, record, layout, dense) -> bytes:
     """One block of _format_blocks: record holds the template rows of the
     block, prefixes in place, and its cells are written in."""
     n = len(block)
     long = []  # (word offset, text) of fallback texts wider than their cell
-    for conv, sel, at, where in layout:
+    for conv, sel, at, where, fused, tail in layout:
         flat = block[:, sel].reshape(-1)
-        words, exact = _cell_words(flat, conv)
+        words, exact = _cell_words(flat, conv, tail)
         for index, w in zip(where, words):
             record[:, index] = w.reshape(n, -1)
         if exact.all():
@@ -656,16 +695,21 @@ def _format_block(block, record, layout) -> bytes:
         size = 4 * len(words)
         row, col = np.divmod(slow, len(at))
         texts = []
-        for r, a, v in zip(row.tolist(), at[col].tolist(), flat[slow].tolist()):
-            text = (conv % v).encode()
+        for r, c, v in zip(row.tolist(), col.tolist(), flat[slow].tolist()):
+            text = (conv % v).encode() + fused[c]
             if len(text) > size:
-                long.append((r * record.shape[1] + a, text))
+                long.append((r * record.shape[1] + int(at[c]), text))
                 text = _LONG
             texts.append(text.ljust(size, _PAD))
         record[row[:, None], at[col][:, None] + np.arange(len(words))] = np.frombuffer(
             b"".join(texts), np.uint32
         ).reshape(slow.size, -1)
-    text = record.tobytes().translate(None, _PAD)
+    # A few _PAD bytes (signs) are deleted faster by replace, many by
+    # translate.  On a 2-core x86 host, a block of 8 165 20-byte %.12e cells
+    # took 76-101 us by replace and 115-154 us by translate; rows of 24-byte
+    # cells, about a fifth of their bytes pads, took replace 3x as long.
+    text = record.tobytes()
+    text = text.replace(_PAD, b"") if dense else text.translate(None, _PAD)
     if long:
         parts = text.split(_LONG)
         long.sort()
@@ -957,7 +1001,10 @@ def _dynamics_task(parsed: ParsedInput, modes, job: JobSpec):
         0.5 * ic.beta_vel @ result.g_inv.entries @ ic.beta_vel
         + 0.5 * ic.kappa @ parsed.force_field.f.entries @ ic.kappa
     )
-    if not (math.isfinite(energy0) and np.isfinite(states).all()):
+    # one pass: a finite sum proves every state finite; a sum that is not
+    # (a nan or inf state, or an overflow) sends the states to isfinite
+    finite = math.isfinite(float(states.sum())) or np.isfinite(states).all()
+    if not (math.isfinite(energy0) and finite):
         raise dyn.NonFiniteTrajectory("the trajectory or its energy is not finite")
     section = {"t_end": options["t_end"], "samples": options["samples"], "energy": energy0}
     return section, [("trajectory.csv", _trajectory_csv(times, states))]

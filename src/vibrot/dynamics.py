@@ -19,6 +19,11 @@ from .normalmodes import NormalModeResult, zero_modes
 from .quadform import DimensionMismatch, SymMatrix
 
 ENERGY_DRIFT_LIMIT = 1e-3
+# Most values of Q a trajectory builds at a time: a chunk's cos and sin rows
+# stay in cache while they are combined, and no whole-table temporaries are
+# made.  The product Q L^T stays one call: row blocks of it differ from the
+# whole product in the last bit under OpenBLAS.
+TRAJECTORY_CHUNK_VALUES = 1 << 14
 
 
 class DynamicsError(ValueError):
@@ -104,17 +109,27 @@ def trajectory_closed_form(
     a = xi.T @ metric.entries @ ic.kappa
     bdot = xi.T @ metric.entries @ ic.beta_vel
     w = np.sqrt(np.where(drift, 1.0, modes.lambdas))  # drift columns are overwritten
-    wt = np.multiply.outer(times, w)
-    cos, sin = np.cos(wt), np.sin(wt, out=wt)
-    q = a * cos
-    q += (bdot / w) * sin
-    q[:, drift] = a[drift] + np.multiply.outer(times, bdot[drift])
+    b, aw = bdot / w, -a * w
+    q = np.empty((times.size, w.size))
+    qdot = np.empty_like(q) if with_velocities else None
+    step = max(1, TRAJECTORY_CHUNK_VALUES // max(w.size, 1))
+    cos, sin = np.empty((2, min(step, times.size), w.size))
+    for start in range(0, times.size, step):
+        t = times[start : start + step]
+        c, s, rows = cos[: t.size], sin[: t.size], q[start : start + step]
+        np.multiply.outer(t, w, out=s)
+        np.cos(s, out=c)
+        np.sin(s, out=s)
+        np.multiply(a, c, out=rows)  # a cos + (bdot / w) sin
+        if with_velocities:  # -a w sin + bdot cos
+            dots = qdot[start : start + step]
+            np.multiply(aw, s, out=dots)
+            dots += np.multiply(bdot, c, out=c)
+            dots[:, drift] = bdot[drift]
+        rows += np.multiply(b, s, out=s)
+        rows[:, drift] = a[drift] + np.multiply.outer(t, bdot[drift])
     out = q @ xi.T
-    if not with_velocities:
-        return out
-    qdot = -a * w * sin + bdot * cos
-    qdot[:, drift] = bdot[drift]
-    return out, qdot @ xi.T
+    return (out, qdot @ xi.T) if with_velocities else out
 
 
 def normal_coordinate_coefficients(

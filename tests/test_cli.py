@@ -577,6 +577,33 @@ beta = 0.0 0.0
         assert message in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    # The finiteness check sums the states first: one nan or inf state makes
+    # the sum non-finite, and a finite sum that overflows is no refusal.
+    @pytest.mark.parametrize("states,code", [
+        ({(3, 1): math.nan}, 3), ({(0, 0): math.inf}, 3), ({(-1, 1): -math.inf}, 3),
+        ({(1, 0): 1e308, (2, 0): 1e308}, 0)], ids=["nan", "inf", "-inf", "overflowing-sum"])
+    def test_non_finite_states_exit_3_with_no_outputs(self, tmp_path, monkeypatch, capsys,
+                                                     states, code):
+        closed_form = cli.dyn.trajectory_closed_form
+
+        def edited(*args):
+            out = closed_form(*args)
+            for index, value in states.items():
+                out[index] = value
+            return out
+
+        monkeypatch.setattr(cli.dyn, "trajectory_closed_form", edited)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(FIXTURES / "twomass.inp"), "--tasks", "modes,dynamics",
+                         "--out", str(out)]) == code
+        if code:
+            assert ("numerical failure: the trajectory or its energy is not finite"
+                    in capsys.readouterr().err)
+            assert not any(out.iterdir())
+        else:
+            rows = (out / "trajectory.csv").read_text().splitlines()
+            assert rows[2].split(",")[1] == rows[3].split(",")[1] == "1.000000000000e+308"
+
     def test_rotor_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # The Wang blocks are tridiagonal already and go straight to LAPACK's
         # dsterf, which calls no BLAS, so the levels cannot depend on how BLAS
@@ -981,7 +1008,8 @@ class TestExactFormatter:
         "%14.6f": [2.0**-7, 3 * 2.0**-7, -(1 + 2.0**-7), 1234567 + 2.0**-7],
     }
     # Two-product scalings (|x| < 1e-10) that land on the wrong side of a
-    # half-integer: only the spacing margin sends them to the % fallback.
+    # half-integer: only the error bound of two products, 2u s with
+    # u = 2^-53, sends them to the % fallback; one product's u s would not.
     NEAR_TIES = [3.3608200639765e-24, 3.8506434990125e-18, 1.0524213559715e-18,
                  4.3092961272105e-24, 8.1202055335555e-12, 3.7807137916805e-21]
     EDGES = [
@@ -1014,6 +1042,73 @@ class TestExactFormatter:
         _, _, exact = cli._rounded_digits(np.array(plain), conv)
         # %14.6f leaves every signed value, -0.0 too, to the fallback
         assert exact.tolist() == [conv != "%14.6f" or math.copysign(1, v) > 0 for v in plain]
+
+    # Decimal ties of the scaled value s = |x| 10^k: (conversion, digits of
+    # s, %.12e exponents), in the one-product and the two-product range.
+    HALVES = [("%.12e", 13, (-10, 12)), ("%.12e", 13, (-32, -11)), ("%.10f", 14, None),
+              ("%.10f", 5, None), ("%14.6f", 13, None)]
+
+    @pytest.mark.parametrize("conv,digits,exponents", HALVES)
+    def test_values_near_half_integers_match_percent(self, conv, digits, exponents):
+        # the doubles nearest to 400 drawn ties, and those 1-4 ulps either
+        # side: the bound proves what it can, and % formats the rest
+        rng = np.random.default_rng(digits)
+        mantissas = rng.integers(10 ** (digits - 1), 10**digits, 400)
+        if exponents:  # m.mmmmmmmmmmmm5 x 10^e
+            exps = rng.integers(exponents[0], exponents[1] + 1, mantissas.size)
+            ties = np.array([float(f"{m}5e{e - 13}") for m, e in zip(mantissas, exps)])
+        else:  # m and a half units of the last place printed
+            places = {"%.10f": 10, "%14.6f": 6}[conv]
+            ties = np.array([float(f"{m}5e{-places - 1}") for m in mantissas])
+        ties *= rng.choice([-1.0, 1.0], ties.size)
+        values = [ties]
+        for direction in (-math.inf, math.inf):
+            near = ties
+            for _ in range(4):
+                near = np.nextafter(near, direction)
+                values.append(near)
+        values = np.concatenate(values)
+        assert_table_matches_per_cell(values.reshape(-1, 8), [conv] * 8, [","] * 7 + ["\n"])
+        _, _, exact = cli._rounded_digits(values[ties.size :], conv)
+        assert exact.mean() > (0.3 if conv == "%14.6f" else 0.6)  # signs take % there
+
+    @staticmethod
+    def word_edges():
+        """%.12e values at every word edge of the cell "-1.2" "3456" "7890"
+        "123e" "+05,": each sign, lead and first fraction digit, each of the
+        last three digits, each exponent from -32 to 13 at the edges of its
+        decade (the carry of 9.9999999999996 included), and -0.0; then
+        values that % formats, some wider than the cell."""
+        rng = np.random.default_rng(19)
+
+        def exponent():
+            return rng.integers(-32, 13)
+
+        firsts = [sign * float(f"{lead}.{first}{rng.integers(10**11):011d}e{exponent()}")
+                  for sign in (1, -1) for lead in range(1, 10) for first in range(10)]
+        lasts = [float(f"{rng.integers(1, 10)}.{rng.integers(10**9):09d}{last:03d}e{exponent()}")
+                 for last in range(1000)]
+        decades = [v for e in range(-32, 14) for one in [float(f"1e{e}")]
+                   for v in (one, np.nextafter(one, 0.0), -float(f"9.9999999999996e{e - 1}"))]
+        wide = [-1e-100, 1e-100, 1e200, -1e300, 1e-33, 5e-324, math.nan, math.inf, -math.inf]
+        return firsts + lasts + decades + [0.0, -0.0] + wide
+
+    # (separator, last separator) of a row: the first byte of each is part of
+    # a %.12e cell's last word, and the rest takes whole words after it
+    SEPARATORS = {"comma": (",", "\n"), "json": (",\n    ", ""), "non-ascii": ("\u00d6", "\u00d6\n"),
+                  "nul": ("\x00", "\x00"), "word": ("|abcd", "\n"), "empty": ("", "")}
+
+    @pytest.mark.parametrize("block", [8, 17, 1 << 13])
+    @pytest.mark.parametrize("kind", SEPARATORS)
+    def test_word_edges_match_percent(self, monkeypatch, kind, block):
+        monkeypatch.setattr(cli, "FORMAT_BLOCK_VALUES", block)
+        values = self.word_edges()
+        values += [0.5] * (-len(values) % 7)
+        sep, last = self.SEPARATORS[kind]
+        convs, seps = ["%.12e"] * 7, [sep] * 6 + [last]
+        assert_table_matches_per_cell(np.array(values).reshape(-1, 7), convs, seps)
+        # pads only at the signs: deleted by replace, not translate
+        assert cli._row_layout(tuple(convs), tuple(seps))[2] == (kind in ("comma", "nul", "word"))
 
     @pytest.mark.parametrize("conv", INT_CONVERSIONS)
     def test_integer_columns_match_percent(self, conv):

@@ -82,6 +82,24 @@ class TestMatrixForm:
         ic = InitialConditions(kappa=rng.normal(size=n), beta_vel=rng.normal(size=n))
         assert_matches_per_mode(res, metric, ic, np.linspace(0.0, 30.0, 301))
 
+    # 301 samples of 5 modes are one chunk at the default size, and chunks of
+    # 1, 2 and 20 rows here (1 row is left for the last chunk of 2 and 20)
+    @pytest.mark.parametrize("chunk", [5, 12, 100])
+    def test_row_chunks_give_the_same_bits(self, rng, monkeypatch, chunk):
+        n = 5
+        metric = random_spd(rng, n)
+        r, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        f = SymMatrix((r * [0.0, 1.0, 2.0, 5.0, 9.0]) @ r.T)  # one drift mode
+        res = nm.solve(SymMatrix(np.linalg.inv(metric.entries)), nm.ForceField(f=f),
+                       unit_mode="natural")
+        ic = InitialConditions(kappa=rng.normal(size=n), beta_vel=rng.normal(size=n))
+        times = np.linspace(0.0, 30.0, 301)
+        whole = dyn.trajectory_closed_form(res, metric, ic, times, with_velocities=True)
+        monkeypatch.setattr(dyn, "TRAJECTORY_CHUNK_VALUES", chunk)
+        chunked = dyn.trajectory_closed_form(res, metric, ic, times, with_velocities=True)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+        assert_matches_per_mode(res, metric, ic, times)
+
     @settings(max_examples=60)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),

@@ -10,6 +10,11 @@ checkout's src, each with OpenBLAS at 1 and at 2 threads, on these cases:
 - the jobs of every benchmark workload at seeds 1 and 2, from
   perfbench/run.py's build_jobs (imported, not changed);
 - a 200-atom chain, perfbench's inputs.chain(..., 200, default_rng([1, 0]));
+- the dynamics of an 8-atom chain with its initial displacements and
+  velocities scaled by 1e-30 and by 1e150, so that trajectory.csv holds
+  values below 1e-10 (two-product scaling) and below 1e-32, and 3-digit
+  exponents, whose cells are wider than the table's (1e200 would overflow
+  the energy and be refused);
 - usage errors: an unknown unit mode, a --jmax that is not a number, input
   that is not UTF-8 and an input file name that is not UTF-8.
 
@@ -101,13 +106,28 @@ def benchmark_cases(inputs_dir: Path) -> list:
             for k, job in enumerate(build_jobs(w, seed))]
     chain = inputs.chain("chain200", 200, np.random.default_rng([1, 0]))
     jobs.append(("chain200", Job(chain, ("modes", "watson-diagnostics", "rotor"))))
+    small = inputs.chain("chain8", 8, np.random.default_rng([1, 1]), samples=201)
+    texts = [(name, job.inp.text, job) for name, job in jobs]
+    texts += [(f"chain8-ic{scale:g}", scaled_dynamics(small.text, scale), Job(small, ("dynamics",)))
+              for scale in (1e-30, 1e150)]
     cases = []
-    for name, job in jobs:
+    for name, text, job in texts:
         path = inputs_dir / name / job.input_name
         path.parent.mkdir(parents=True)
-        path.write_text(job.inp.text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         cases.append((name, path, job.args()))
     return cases
+
+
+def scaled_dynamics(text: str, scale: float) -> str:
+    """An input's text with every kappa and beta value times scale."""
+    lines = []
+    for line in text.splitlines():
+        key, _, values = line.partition(" = ")
+        if key in ("kappa", "beta"):
+            line = key + " = " + " ".join(repr(float(v) * scale) for v in values.split())
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def error_cases(inputs_dir: Path) -> list:
