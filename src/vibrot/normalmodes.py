@@ -26,8 +26,6 @@ from . import constants, quadform
 from .molecule import BMatrix, MassMatrix, Molecule, RankDeficient
 from .quadform import DimensionMismatch, NotPositiveDefinite, QuadformError, SymMatrix
 
-ZERO_MODE_FACTOR = 100.0
-
 
 class NonFiniteModes(QuadformError):
     """The GF solve gave a non-finite eigenvalue or mode (an overflowing F or G)."""
@@ -72,20 +70,7 @@ class NormalModeResult:
         return self.lambdas.size
 
 
-def zero_modes(lambdas) -> np.ndarray:
-    """Mask of the zero modes: |lambda_k| <= c n eps max|lambda|.
-
-    n is the mode count, eps the machine epsilon, c = ZERO_MODE_FACTOR.  A
-    symmetric eigensolver's roundoff scales with eps max|lambda|, not with
-    the units of lambda (Weyl; Golub & Van Loan, Matrix Computations 8.1).
-    Measured: a true zero kept at most 1.3 n eps max|lambda| over 20 000
-    random (G, F) pairs, F scaled by 10^+-12, and 0.15 on stiff free pairs;
-    the smallest real |lambda| is 1.4e5 of it on illcond8 and 2.3e6 on a
-    100-atom chain, so c from about 4 to 1e3 works.  F = 0: all zero.
-    """
-    lam = np.abs(np.asarray(lambdas, dtype=float))
-    scale = lam[np.isfinite(lam)].max(initial=0.0)  # an infinite lambda zeroes no other
-    return lam <= ZERO_MODE_FACTOR * lam.size * np.finfo(float).eps * scale
+zero_modes = quadform.roundoff_zero  # the zero lambdas, by G's definiteness rule
 
 
 def frequencies_cm(lambdas, unit_mode: str = "cm") -> np.ndarray:
@@ -132,7 +117,7 @@ def solve(
     else:
         s2, u = np.linalg.eigh(g.entries)
     try:
-        quadform.require_positive_definite(s2, g, "G matrix")
+        quadform.require_positive_definite(s2, "G matrix")
     except NotPositiveDefinite:
         if b is None:
             raise

@@ -34,12 +34,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import _host
-from .frames import EulerAngles
+if TYPE_CHECKING:  # frames is not on the CLI's import path
+    from .frames import EulerAngles
 
 CLASSIFY_RTOL = 1e-9
 # Wang parity classes in block order; RotorLevels.code indexes this tuple,

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    FIXTURES,
     bent_triatomic,
     random_spd,
     two_mass_system,
@@ -14,10 +15,12 @@ from conftest import (
     water_pipeline,
     water_isotopologue,
 )
+from vibrot import cli
 from vibrot import molecule as mo
 from vibrot import normalmodes as nm
+from vibrot import watson as wa
 from vibrot.frames import EulerAngles, rotation_zyz
-from vibrot.quadform import DimensionMismatch, NotPositiveDefinite, SymMatrix
+from vibrot.quadform import DimensionMismatch, NotPositiveDefinite, QuadformError, SymMatrix
 
 
 def solve_two_mass(m=1.0, k=1.0):
@@ -253,6 +256,59 @@ class TestSolveProperties:
         assert np.all(res.frequencies_cm[zero] == 0) and np.all(scaled.frequencies_cm[zero] == 0)
         ratio = scaled.frequencies_cm[~zero] / (math.sqrt(s) * res.frequencies_cm[~zero])
         assert np.all(np.abs(ratio - 1) <= bound / (s * res.lambdas[~zero]))
+
+
+def _zigzag_system(case):
+    """(molecule, coordinates, force field) of a zigzag chain with a diagonal F;
+    with `repeat` the first stretch is given twice, so B's rows are dependent."""
+    jitter, mass_values, f_diag, repeat = case
+    mol, ics = _zigzag_chain(len(mass_values), jitter, mass_values)
+    if repeat:
+        ics = mo.InternalCoordinateSet(ics.coords + (mo.BondStretch(1, 0),))
+        f_diag = np.append(f_diag, f_diag[0])
+    return mol, ics, nm.ForceField(f=SymMatrix.diagonal(f_diag))
+
+
+_ILLCOND8 = cli.parse_input(FIXTURES / "illcond8.inp")
+
+
+def _mass_scaled_solve(mol, ics, f, c):
+    """(lambdas, l, zeta) with every mass times c, or the type of the refusal."""
+    scaled = mo.Molecule.from_lists([a.label for a in mol.atoms], mol.masses * c, mol.positions)
+    b = mo.build_b_matrix(scaled, ics)
+    masses = mo.MassMatrix.from_molecule(scaled)
+    try:
+        res = nm.solve(mo.build_g_matrix(b, masses), f, b=b, masses=masses)
+    except (QuadformError, mo.MoleculeError) as exc:
+        return type(exc)
+    return res.lambdas, res.l, wa.coriolis_constants(res.l).zeta
+
+
+class TestMassScaling:
+    # Every mass times c leaves B as it is and scales G by 1/c, so the solve
+    # must decide alike, with lambda / c and the same l and zeta.  Measured
+    # over 800 zigzag draws and illcond8: lambda within 6e-15 max|lambda|, l
+    # and zeta within 2.5e-12 (illcond8, cond(G) = 1.3e9).  A (nearly)
+    # degenerate spectrum has no well-defined l, so such draws are left out.
+    @settings(max_examples=60)
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+        arrays(float, (n, 3), elements=st.floats(-0.15, 0.15)),
+        arrays(float, n, elements=st.floats(1.0, 40.0)),
+        arrays(float, 2 * n - 3, elements=st.floats(1.0, 10.0)),
+        st.booleans(),
+    )).map(_zigzag_system), st.sampled_from([1e-6, 1e6]))
+    @example((_ILLCOND8.molecule, _ILLCOND8.internal_coordinates, _ILLCOND8.force_field), 1e4)
+    def test_scaled_masses_scale_lambdas_and_keep_l_and_zeta(self, system, c):
+        ref, scaled = (_mass_scaled_solve(*system, x) for x in (1.0, c))
+        if isinstance(ref, type) or isinstance(scaled, type):
+            assert scaled == ref
+            return
+        lambdas, l, zeta = ref
+        scale = np.abs(lambdas).max()
+        assume(np.diff(lambdas).min() > 1e-6 * scale)
+        assert np.abs(scaled[0] * c - lambdas).max() <= 1e-13 * scale
+        assert np.abs(scaled[1] - l).max() <= 1e-10
+        assert np.abs(scaled[2] - zeta).max() <= 1e-10
 
 
 class TestTellerRedlich:

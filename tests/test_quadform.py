@@ -75,6 +75,22 @@ class TestMatrixPower:
         out = qf.matrix_power(a, 2.0)
         np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-14)
 
+    def test_singular_is_relative_to_the_spectrum(self):
+        # cond 2 at any scale: positive definite and invertible
+        a = SymMatrix.diagonal([1e-14, 2e-14])
+        assert qf.is_positive_definite(a)
+        out = qf.matrix_power(a, -1.0)
+        np.testing.assert_allclose(out.entries, np.diag([1e14, 0.5e14]), rtol=1e-15)
+
+    def test_roundoff_negative_eigenvalue_is_zero(self):
+        # -1e-17 next to 1 is roundoff: a zero for the square root, not a nan,
+        # and a singular matrix for the inverse
+        a = SymMatrix.diagonal([1.0, -1e-17])
+        out = qf.matrix_power(a, 0.5)
+        np.testing.assert_array_equal(out.entries, np.diag([1.0, 0.0]))
+        with pytest.raises(SingularNonPositivePower):
+            qf.matrix_power(a, -1.0)
+
 
 class TestPositiveDefinite:
     def test_diagonal_positive(self):
@@ -93,18 +109,20 @@ class TestPositiveDefinite:
         for _ in range(10):
             assert qf.is_positive_definite(random_spd(rng, 5))
 
+    # The margin is roundoff_zero's c n eps of the largest eigenvalue, here
+    # with n = 2: both sides of it, and on it, at the scales 1 and 1e-14.
+    T = qf.ZERO_MODE_FACTOR * 2 * np.finfo(float).eps
+
     @pytest.mark.parametrize(
         "diag,expected",
-        [([1.0, 2e-12], True), ([1.0, 5e-13], False), ([1.0, 1e-12], False),
-         ([4.0, 6e-12], True), ([4.0, 3e-12], False)],
+        [([1.0, 2 * T], True), ([1.0, T / 2], False), ([1.0, T], False),
+         ([1e-14, 1e-14 * 2 * T], True), ([1e-14, 1e-14 * T / 2], False)],
     )
     def test_margin_is_require_positive_definite(self, diag, expected):
-        # the margin is 1e-12 * max(1, max |a_ij|), the one that
-        # require_positive_definite applies to the eigenvalues
         a = SymMatrix.diagonal(diag)
         assert qf.is_positive_definite(a) is expected
         try:
-            qf.require_positive_definite(np.linalg.eigvalsh(a.entries), a, "a")
+            qf.require_positive_definite(np.linalg.eigvalsh(a.entries), "a")
         except NotPositiveDefinite:
             raised = True
         else:
@@ -191,3 +209,9 @@ class TestSimultaneousDiagonalize:
     def test_pair_diagonalization_validates_order(self):
         with pytest.raises(qf.QuadformError):
             PairDiagonalization(beta=np.eye(2), lambdas=np.array([2.0, 1.0]))
+
+    def test_order_check_is_relative_to_the_spectrum(self):
+        # a descent of one ulp is roundoff; a descent by half is not, at any scale
+        PairDiagonalization(beta=np.eye(2), lambdas=np.array([1.0, 1.0 - 2.0**-53]))
+        with pytest.raises(qf.QuadformError):
+            PairDiagonalization(beta=np.eye(2), lambdas=np.array([2e-20, 1e-20]))

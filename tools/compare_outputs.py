@@ -15,12 +15,16 @@ checkout's src, each with OpenBLAS at 1 and at 2 threads, on these cases:
   values below 1e-10 (two-product scaling) and below 1e-32, and 3-digit
   exponents, whose cells are wider than the table's (1e200 would overflow
   the energy and be refused);
+- the ill-conditioned fixture illcond8 with every mass times 10^k, k in
+  -8, -4, 4 and 6: B is the same, so the solve's rank decision must be too;
+- two atoms with the same stretch twice, a rank-deficient B that must exit 3;
 - usage errors: an unknown unit mode, a --jmax that is not a number, input
   that is not UTF-8 and an input file name that is not UTF-8.
 
 A case compares the exit code, stderr and the name and bytes (by SHA-256)
-of every output file of the four runs against OLD_TREE at 1 thread.  All
-runs work in one temporary directory, deleted at the end.  One line is
+of every output file of the four runs against OLD_TREE at 1 thread; a case
+in REFUSED also differs if OLD_TREE's exit code is not the one it names.
+All runs work in one temporary directory, deleted at the end.  One line is
 printed per case that differs, naming the runs and what differs; the exit
 status is 1 if any case differs, else 0.
 """
@@ -42,6 +46,19 @@ FIXTURES = ROOT / "tests" / "fixtures"
 TASKS = ("modes", "dynamics", "watson-diagnostics", "rotor")
 UNITS = ("cm", "natural")
 THREADS = ("1", "2")
+REFUSED = {"repeated-stretch": 3}  # case name: the exit code it must have
+REPEATED_STRETCH = """[atoms]
+A 1.0 0.0 0.0 0.0
+B 1.0 1.0 0.0 0.0
+
+[internal_coordinates]
+stretch 1 2
+stretch 2 1
+
+[force_constants]
+1.0
+0.0 1.0
+"""
 
 
 def digest(path: Path) -> str:
@@ -130,6 +147,34 @@ def scaled_dynamics(text: str, scale: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def scaled_masses(text: str, scale: float) -> str:
+    """An input's text with every [atoms] mass times scale."""
+    lines, section = [], None
+    for line in text.splitlines():
+        words = line.split()
+        if line.startswith("["):
+            section = line.strip()
+        elif section == "[atoms]" and words and not line.startswith("#"):
+            line = " ".join([words[0], repr(float(words[1]) * scale), *words[2:]])
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def rank_cases(inputs_dir: Path) -> list:
+    """(name, input path, args) of the rank decisions: scaled illcond8, repeated stretch."""
+    illcond8 = (FIXTURES / "illcond8.inp").read_text()
+    texts = [(f"illcond8-mass1e{k}", scaled_masses(illcond8, 10.0**k),
+              "modes,watson-diagnostics,rotor") for k in (-8, -4, 4, 6)]
+    texts.append(("repeated-stretch", REPEATED_STRETCH, "modes"))
+    cases = []
+    for name, text, tasks in texts:
+        path = inputs_dir / name / "input.inp"
+        path.parent.mkdir(parents=True)
+        path.write_text(text, encoding="utf-8")
+        cases.append((name, path, ["--tasks", tasks]))
+    return cases
+
+
 def error_cases(inputs_dir: Path) -> list:
     bad_text = inputs_dir / "not-utf8" / "bad.inp"
     bad_text.parent.mkdir(parents=True)
@@ -156,7 +201,8 @@ def main(argv=None) -> int:
                                 ["--tasks", task, "--units", units]) for task in TASKS]
             for fixture in sorted(FIXTURES.glob("*.inp")) for units in UNITS}
         cases = [case for alone in fixture_runs.values() for case in alone]
-        cases += benchmark_cases(work / "inputs") + error_cases(work / "inputs")
+        cases += benchmark_cases(work / "inputs") + rank_cases(work / "inputs")
+        cases += error_cases(work / "inputs")
         results = compare(old, cases, work)
         together = []
         for (fixture, units), alone in fixture_runs.items():
@@ -165,6 +211,9 @@ def main(argv=None) -> int:
                              ["--tasks", ",".join(tasks), "--units", units]))
         results.update(compare(old, together, work))
         failed = 0
+        for name, code in REFUSED.items():
+            if results[name][0][0] != code:
+                results[name][1].append(("old@1", [f"exit {results[name][0][0]}, expected {code}"]))
         for name, (_, diffs) in results.items():
             if diffs:
                 failed += 1
